@@ -7,21 +7,17 @@
 //   - BENCH_campaign.json (-suite campaign): campaign throughput
 //     (ns/op and samples/sec) of the scalar and lane-batched execution
 //     paths, plus the batched-over-scalar speedup.
-//   - BENCH_lanes.json (-suite lanes): batched campaign throughput
-//     across resume widths — scalar baseline, then 64, 256, and 512
-//     virtual lanes per pass. Fixed-seed results are bit-identical at
-//     every width; only the throughput differs.
 //   - BENCH_codegen.json (-suite codegen): the generated straight-line
 //     evaluator (internal/logicsim/codegen) against the interpreted op
 //     stream on the bundled MPU, at two levels. EvalPass* rows time one
-//     combinational pass per lane width (samples_per_sec counts
-//     lane-samples — lanes per pass over pass time); Campaign* rows time
-//     the full lane-batched campaign on both stacks. The headline
-//     speedup_codegen_vs_interp is the 512-lane evaluator ratio;
+//     64-lane combinational pass (samples_per_sec counts lane-samples —
+//     64 lanes over pass time); Campaign* rows time the full
+//     lane-batched campaign on both stacks. The headline
+//     speedup_codegen_vs_interp is the evaluator ratio;
 //     speedup_codegen_campaign is the end-to-end campaign ratio, which
 //     Amdahl dilutes because the per-sample cost is dominated by the
 //     gate-level timing injection, not the combinational sweep. Fixed-
-//     seed results are bit-identical on both paths at every width.
+//     seed results are bit-identical on both paths.
 //   - BENCH_convergence.json (-suite convergence): statistical
 //     efficiency instead of wall time — for each sampler, the number of
 //     samples an adaptive campaign needs before its 95% CI half-width
@@ -41,7 +37,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchjson [-suite runonce|campaign|lanes|codegen|convergence] [-out FILE]
+//	go run ./cmd/benchjson [-suite runonce|campaign|codegen|convergence] [-out FILE]
 //	go run ./cmd/benchjson -compare [-tolerance T] old.json new.json
 package main
 
@@ -86,7 +82,7 @@ type benchFile struct {
 	// (campaign suite only).
 	SpeedupBatched float64 `json:"speedup_batched_vs_scalar,omitempty"`
 	// SpeedupCodegen records generated-over-interpreted combinational
-	// pass throughput at 512 lanes; SpeedupCodegenCampaign records the
+	// pass throughput; SpeedupCodegenCampaign records the
 	// same ratio at full-campaign level (codegen suite only).
 	SpeedupCodegen         float64 `json:"speedup_codegen_vs_interp,omitempty"`
 	SpeedupCodegenCampaign float64 `json:"speedup_codegen_campaign,omitempty"`
@@ -94,7 +90,7 @@ type benchFile struct {
 
 func main() {
 	out := flag.String("out", "", "output path (default BENCH_<suite>.json)")
-	suite := flag.String("suite", "runonce", "benchmark suite: runonce | campaign | lanes | codegen | convergence")
+	suite := flag.String("suite", "runonce", "benchmark suite: runonce | campaign | codegen | convergence")
 	compare := flag.Bool("compare", false, "compare two records (old.json new.json) instead of benchmarking")
 	tolerance := flag.Float64("tolerance", 0.25, "compare: allowed fractional ns/op growth before failing")
 	flag.Parse()
@@ -115,8 +111,6 @@ func main() {
 		results = runOnceSuite()
 	case "campaign":
 		results = campaignSuite()
-	case "lanes":
-		results = lanesSuite()
 	case "codegen":
 		results = codegenSuite()
 	case "convergence":
@@ -145,19 +139,19 @@ func main() {
 		var evalInterp, evalGen, campInterp, campGen float64
 		for _, r := range results {
 			switch r.Name {
-			case "EvalPassInterp512":
+			case "EvalPassInterp64":
 				evalInterp = r.NsPerOp
-			case "EvalPassCodegen512":
+			case "EvalPassCodegen64":
 				evalGen = r.NsPerOp
-			case "CampaignInterp512":
+			case "CampaignInterp64":
 				campInterp = r.NsPerOp
-			case "CampaignCodegen512":
+			case "CampaignCodegen64":
 				campGen = r.NsPerOp
 			}
 		}
 		if evalGen > 0 {
 			file.SpeedupCodegen = evalInterp / evalGen
-			fmt.Printf("codegen eval speedup (512 lanes): %.2fx\n", file.SpeedupCodegen)
+			fmt.Printf("codegen eval speedup: %.2fx\n", file.SpeedupCodegen)
 		}
 		if campGen > 0 {
 			file.SpeedupCodegenCampaign = campInterp / campGen
@@ -283,53 +277,19 @@ func campaignSuite() []benchResult {
 	return results
 }
 
-// lanesSuite measures batched campaign throughput across resume
-// widths: the scalar baseline, then 64, 256, and 512 virtual lanes per
-// combinational pass. Same workload, sampler, and seed as the campaign
-// suite, so CampaignScalar is directly comparable across records.
-func lanesSuite() []benchResult {
-	_, ev := setup()
-	var results []benchResult
-	for _, cfg := range []struct {
-		name  string
-		batch bool
-		lanes int
-	}{
-		{"CampaignScalar", false, 0},
-		{"CampaignLanes64", true, 64},
-		{"CampaignLanes256", true, 256},
-		{"CampaignLanes512", true, 512},
-	} {
-		res := record(&results, cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			sp, err := ev.ImportanceSampler()
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: cfg.batch, Lanes: cfg.lanes}
-			b.ResetTimer()
-			if _, err := ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
-				b.Fatal(err)
-			}
-		})
-		res.SamplesPerSec = 1e9 / res.NsPerOp
-	}
-	return results
-}
-
 // codegenSuite measures what the generated straight-line evaluator
 // buys over the interpreted op stream, at two levels. EvalPass* rows
-// time a single combinational pass of the bundled MPU per lane width —
-// the work the codegen backend replaces — with samples_per_sec counting
-// lane-samples (lanes per pass over pass time); this is where the
-// headline speedup_codegen_vs_interp comes from. Campaign* rows time
-// the full lane-batched campaign on two otherwise identical stacks,
-// one built with generated-evaluator binding disabled (the interpreted
-// 512-lane baseline) and one with the committed MPU evaluator bound;
-// that ratio is Amdahl-diluted because most of a sample is gate-level
-// timing injection, not combinational sweep. Same workload, sampler,
-// and seed as the lanes suite; fixed-seed results are bit-identical on
-// both paths (montecarlo's TestCampaignCodegenEquivalence pins that).
+// time a single 64-lane combinational pass of the bundled MPU — the
+// work the codegen backend replaces — with samples_per_sec counting
+// lane-samples (64 lanes over pass time); this is where the headline
+// speedup_codegen_vs_interp comes from. Campaign* rows time the full
+// lane-batched campaign on two otherwise identical stacks, one built
+// with generated-evaluator binding disabled (the interpreted baseline)
+// and one with the committed MPU evaluator bound; that ratio is
+// Amdahl-diluted because most of a sample is gate-level timing
+// injection, not combinational sweep. Same workload, sampler, and seed
+// as the campaign suite; fixed-seed results are bit-identical on both
+// paths (montecarlo's TestCampaignCodegenEquivalence pins that).
 func codegenSuite() []benchResult {
 	_, evGen := setup()
 	if !evGen.Engine.SoC.Sim.Plan().Generated() {
@@ -359,46 +319,34 @@ func codegenSuite() []benchResult {
 		fatal(err)
 	}
 	for _, cfg := range []struct {
-		name   string
-		sim    *logicsim.Simulator
-		groups int
+		name string
+		sim  *logicsim.Simulator
 	}{
-		{"EvalPassInterp512", simInt, 8},
-		{"EvalPassCodegen64", simGen, 1},
-		{"EvalPassCodegen256", simGen, 4},
-		{"EvalPassCodegen512", simGen, 8},
+		{"EvalPassInterp64", simInt},
+		{"EvalPassCodegen64", simGen},
 	} {
-		w, err := logicsim.NewLaneSim(cfg.sim, cfg.groups)
-		if err != nil {
-			fatal(err)
-		}
-		lanes := 64 * cfg.groups
 		res := record(&results, cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w.Eval()
+				cfg.sim.Eval()
 			}
 		})
-		res.SamplesPerSec = float64(lanes) * 1e9 / res.NsPerOp
+		res.SamplesPerSec = 64 * 1e9 / res.NsPerOp
 	}
 	for _, cfg := range []struct {
-		name  string
-		ev    *core.Evaluation
-		lanes int
+		name string
+		ev   *core.Evaluation
 	}{
-		{"CampaignInterp512", evInt, 512},
-		{"CampaignCodegen64", evGen, 64},
-		{"CampaignCodegen256", evGen, 256},
-		{"CampaignCodegen512", evGen, 512},
+		{"CampaignInterp64", evInt},
+		{"CampaignCodegen64", evGen},
 	} {
 		ev := cfg.ev
-		lanes := cfg.lanes
 		res := record(&results, cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			sp, err := ev.ImportanceSampler()
 			if err != nil {
 				b.Fatal(err)
 			}
-			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: true, Lanes: lanes}
+			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: true}
 			b.ResetTimer()
 			if _, err := ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
 				b.Fatal(err)

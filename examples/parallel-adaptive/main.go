@@ -76,7 +76,7 @@ func main() {
 	fmt.Printf("\nconverged after %d samples (bound %.3f ≤ risk %.2f)\n",
 		camp.Est.N(), camp.Est.LLNBound(opts.Epsilon), opts.Risk)
 	fmt.Printf("SSF = %.3e ± %.1e  (%d successful bypasses)\n",
-		camp.SSF(), camp.Est.StdErr(), camp.Successes)
+		camp.SSF(), camp.StdErr(), camp.Successes)
 	fmt.Printf("eval paths masked/analytical/pruned/rtl: %d / %d / %d / %d\n",
 		camp.PathCounts[0], camp.PathCounts[1], camp.PathCounts[2], camp.PathCounts[3])
 }

@@ -47,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nSSF = %.3e ± %.1e  (%d successful bypasses in %d sampled attacks)\n",
-		camp.SSF(), camp.Est.StdErr(), camp.Successes, camp.Options.Samples)
+		camp.SSF(), camp.StdErr(), camp.Successes, camp.Options.Samples)
 	fmt.Printf("outcome classes: %d masked, %d memory-type-only, %d mixed\n",
 		camp.ClassCounts[0], camp.ClassCounts[1], camp.ClassCounts[2])
 	fmt.Printf("only %d runs (%.1f%%) needed a full RTL resume — the rest were\n",

@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,9 +13,7 @@ import (
 // FuzzCodegenEquivalence cross-checks the codegen Program — the exact
 // semantics of the emitted straight-line source — against the
 // interpreted plan on every netlist the fuzzer can deserialize: random
-// values in, bit-identical words out at all three strides, with each
-// 64-lane group of the wide forms matching an independent scalar
-// evaluation. The emitted source itself must also survive go/format's
+// values in, bit-identical words out. The emitted source itself must also survive go/format's
 // parse (Emit fails otherwise), so every fuzz input doubles as a
 // syntax check of the generator.
 func FuzzCodegenEquivalence(f *testing.F) {
@@ -58,31 +55,6 @@ func FuzzCodegenEquivalence(f *testing.F) {
 			t.Fatalf("plan lifted but did not emit: %v", err)
 		}
 
-		n := nl.NumNodes()
-		rng := rand.New(rand.NewSource(seed))
-		for _, stride := range Strides {
-			wide := make([]uint64, n*stride)
-			for i := range wide {
-				wide[i] = rng.Uint64()
-			}
-			want := make([]uint64, n*stride)
-			lane := make([]uint64, n)
-			for k := 0; k < stride; k++ {
-				for i := 0; i < n; i++ {
-					lane[i] = wide[i*stride+k]
-				}
-				plan.EvalInterpreted(lane)
-				for i := 0; i < n; i++ {
-					want[i*stride+k] = lane[i]
-				}
-			}
-			prog.Eval(wide, stride)
-			for i := range wide {
-				if wide[i] != want[i] {
-					t.Fatalf("stride %d word %d (node %d, group %d): program %#x, interpreter %#x",
-						stride, i, i/stride, i%stride, wide[i], want[i])
-				}
-			}
-		}
+		checkEvalMatches(t, plan, prog, seed)
 	})
 }

@@ -132,6 +132,10 @@ func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
 
 // JobResult is the completed campaign, as served to clients.
 type JobResult struct {
+	// SSF, StdErr, and CIHalfWidth all come from the campaign's
+	// active estimator (stratified or control-variate when in use);
+	// CIHalfWidth is Z95·StdErr. Variance is the per-term variance of
+	// the plain weighted estimator.
 	SSF         float64   `json:"ssf"`
 	StdErr      float64   `json:"std_err"`
 	Variance    float64   `json:"variance"`
@@ -147,20 +151,25 @@ type JobResult struct {
 	Convergence []float64 `json:"convergence,omitempty"`
 }
 
+// finite clamps a non-finite statistic (the +Inf error of an empty
+// campaign) to 0 so it stays encodable as JSON.
+func finite(x float64) float64 {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		return 0
+	}
+	return x
+}
+
 // resultFrom summarizes a campaign.
 func resultFrom(c *montecarlo.Campaign) *JobResult {
 	if c == nil {
 		return nil
 	}
-	ci := c.CIHalfWidth()
-	if math.IsInf(ci, 0) || math.IsNaN(ci) {
-		ci = 0
-	}
 	return &JobResult{
 		SSF:         c.SSF(),
-		StdErr:      c.Est.StdErr(),
+		StdErr:      finite(c.StdErr()),
 		Variance:    c.Variance(),
-		CIHalfWidth: ci,
+		CIHalfWidth: finite(c.CIHalfWidth()),
 		ESS:         c.ESS(),
 		Samples:     c.Est.N(),
 		Successes:   c.Successes,

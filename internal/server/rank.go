@@ -192,7 +192,7 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 
 	resp := &RankResponse{
 		BaseSSF:    base.SSF(),
-		BaseStdErr: base.Est.StdErr(),
+		BaseStdErr: finite(base.StdErr()),
 		Samples:    req.Samples,
 		Sampler:    sp.Name(),
 		Mode:       req.Mode,
@@ -229,7 +229,7 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		entry := RankEntry{
 			Name:         v.Name,
 			SSF:          hard.SSF(),
-			StdErr:       hard.Est.StdErr(),
+			StdErr:       finite(hard.StdErr()),
 			AreaOverhead: plan.AreaOverhead(nl),
 			NumRegs:      len(regs),
 		}

@@ -614,6 +614,48 @@ func TestStratifiedRestartResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestStratifiedResultStdErrMatchesCI pins that a stratified job
+// reports std_err from the same estimator as ssf and ci_half_width:
+// the served half-width is exactly Z95 times the served standard
+// error.
+func TestStratifiedResultStdErrMatchesCI(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	srv.Start()
+	defer srv.Shutdown()
+	req := JobRequest{Samples: 1200, Sampler: "stratified", Seed: 3}
+	if err := req.normalize(srv.cfg.MaxSamples); err != nil {
+		t.Fatal(err)
+	}
+	j, err := srv.submit("default", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for j.state() != StateDone {
+		if time.Now().After(deadline) || j.state() == StateFailed {
+			t.Fatalf("job stuck in %s: %s", j.state(), j.snapshotRecord().Error)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	data, err := json.Marshal(j.snapshotRecord().Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		StdErr      float64 `json:"std_err"`
+		CIHalfWidth float64 `json:"ci_half_width"`
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.StdErr <= 0 {
+		t.Fatalf("std_err %v, want a positive error", got.StdErr)
+	}
+	if got.CIHalfWidth != stats.Z95*got.StdErr {
+		t.Errorf("ci_half_width %v, want Z95·std_err = %v", got.CIHalfWidth, stats.Z95*got.StdErr)
+	}
+}
+
 func TestRankDeterministic(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	req := RankRequest{

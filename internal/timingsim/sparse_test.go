@@ -254,3 +254,73 @@ func TestTouchedResetIsComplete(t *testing.T) {
 		}
 	}
 }
+
+// buildWideOr returns a netlist whose OR gate sees `fan` single-interval
+// fanin waves when all bufs are struck: `fan` distinct interval ends
+// means `fan` spans at the OR, so for fan > 64 propagate's span sweep
+// runs over several 64-span chunks. It returns the bufs and the OR.
+func buildWideOr(t *testing.T, fan int) (*netlist.Netlist, []netlist.NodeID, netlist.NodeID) {
+	t.Helper()
+	nl := netlist.New(fan + 8)
+	a := nl.AddInput("a")
+	bufs := make([]netlist.NodeID, fan)
+	for i := range bufs {
+		bufs[i] = nl.AddGate(netlist.Buf, a)
+	}
+	or := nl.AddGate(netlist.Or, bufs...)
+	nl.AddDFF(or, "cap", false)
+	inv := nl.AddGate(netlist.Inv, or)
+	nl.AddDFF(inv, "capn", true)
+	if err := nl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return nl, bufs, or
+}
+
+// TestSweepManySpans strikes 300 buffers feeding one OR with staggered
+// pulse widths, so the OR's span sweep sees ~300 spans and crosses
+// four 64-span chunk boundaries. The result and every node's waveform
+// must be bit-identical to the reference sweep, and the strike must
+// actually flip a register so the check is not vacuous. The two sweeps
+// share propagate, so the OR's wave is also checked on its own terms:
+// the fanin pulses all start together, so their union is one interval,
+// and a span lost or duplicated at a chunk boundary would split it.
+func TestSweepManySpans(t *testing.T) {
+	const fan = 300
+	nl, bufs, or := buildWideOr(t, fan)
+	dm := DefaultDelayModel()
+	st := Strike{Gates: bufs, Time: 500, Widths: make([]float64, fan)}
+	for i := range st.Widths {
+		// Distinct widths: 300 distinct interval ends → ~300 spans at
+		// the OR. The longest pulses cross the latch window
+		// [ClockPeriod-Setup, ClockPeriod+Hold] = [575, 610].
+		st.Widths[i] = 20 + 0.5*float64(i)
+	}
+	values := func(netlist.NodeID) bool { return false }
+
+	dense, err := New(nl, dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense.SetReferenceSweep(true)
+	ref := dense.Inject(values, st)
+	if len(ref.FlippedRegs) == 0 {
+		t.Fatal("strike flipped no register — the many-span check would be vacuous")
+	}
+	sparse, err := New(nl, dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sparse.Inject(values, st); !resultsEqual(got, ref) {
+		t.Fatalf("sparse sweep %+v, reference %+v", got, ref)
+	}
+	for i := 0; i < nl.NumNodes(); i++ {
+		id := netlist.NodeID(i)
+		if !wavesEqual(sparse.Wave(id), dense.Wave(id)) {
+			t.Fatalf("node %d waveform diverges from the reference sweep", id)
+		}
+	}
+	if w := sparse.Wave(or); len(w) != 1 {
+		t.Fatalf("OR waveform %v, want one interval", w)
+	}
+}
