@@ -52,14 +52,12 @@ fuzz-smoke:
 
 # bench regenerates the committed perf records: BENCH_runonce.json (the
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,
-# RTLCycle), BENCH_campaign.json (campaign throughput, scalar vs
-# lane-batched, with the speedup ratio), BENCH_codegen.json (generated
-# straight-line evaluator vs interpreted op stream, per combinational
-# pass and per campaign), and BENCH_convergence.json (per-sampler
+# RTLCycle), BENCH_codegen.json (generated straight-line evaluator vs
+# interpreted op stream, per combinational pass and per campaign), and
+# BENCH_convergence.json (per-sampler
 # samples-to-target-CI — statistical efficiency rather than wall time).
 bench:
 	$(GO) run ./cmd/benchjson -suite runonce -out BENCH_runonce.json
-	$(GO) run ./cmd/benchjson -suite campaign -out BENCH_campaign.json
 	$(GO) run ./cmd/benchjson -suite codegen -out BENCH_codegen.json
 	$(GO) run ./cmd/benchjson -suite convergence -out BENCH_convergence.json
 
@@ -69,7 +67,7 @@ bench:
 # shared-runner noise). The convergence record counts samples, not
 # time — fixed-seed deterministic — so it is gated at a tight 0.05.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunOnce$$|BenchmarkGateInjection$$|BenchmarkCampaignBatched$$' -benchtime=100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRunOnce$$|BenchmarkGateInjection$$|BenchmarkCampaign$$' -benchtime=100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMPUEval$$' -benchtime=100x ./internal/soc/
 	$(GO) run ./cmd/benchjson -suite runonce -out /tmp/bench_smoke.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 0.75 BENCH_runonce.json /tmp/bench_smoke.json

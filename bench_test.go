@@ -329,17 +329,16 @@ func BenchmarkAblationAlpha500(b *testing.B) { benchAlpha(b, 500) }
 
 // --- Campaign-throughput benchmarks -----------------------------------------
 
-// benchCampaignThroughput measures end-to-end campaign throughput
-// (ns/op is the per-sample cost; samples/s is attached as a metric) on
-// the bundled MPU workload with the paper's importance sampler, for the
-// scalar vs the lane-batched execution path.
-func benchCampaignThroughput(b *testing.B, batch bool) {
+// BenchmarkCampaign measures end-to-end campaign throughput (ns/op is
+// the per-sample cost; samples/s is attached as a metric) on the
+// bundled MPU workload with the paper's importance sampler.
+func BenchmarkCampaign(b *testing.B) {
 	_, ev := benchSetup(b)
 	sp, err := ev.ImportanceSampler()
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: batch}
+	opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1}
 	b.ResetTimer()
 	c, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
 	if err != nil {
@@ -348,9 +347,6 @@ func benchCampaignThroughput(b *testing.B, batch bool) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 	b.ReportMetric(c.SSF()*1e6, "SSFe-6")
 }
-
-func BenchmarkCampaignScalar(b *testing.B)  { benchCampaignThroughput(b, false) }
-func BenchmarkCampaignBatched(b *testing.B) { benchCampaignThroughput(b, true) }
 
 // --- Microbenchmarks of the substrates --------------------------------------
 

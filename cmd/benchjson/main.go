@@ -4,9 +4,6 @@
 //     allocs/op for a complete cross-level run (RunOnce), one timed
 //     gate-level injection (GateInjection), and one RTL cycle
 //     (RTLCycle).
-//   - BENCH_campaign.json (-suite campaign): campaign throughput
-//     (ns/op and samples/sec) of the scalar and lane-batched execution
-//     paths, plus the batched-over-scalar speedup.
 //   - BENCH_codegen.json (-suite codegen): the generated straight-line
 //     evaluator (internal/logicsim/codegen) against the interpreted op
 //     stream on the bundled MPU, at two levels. EvalPass* rows time one
@@ -37,7 +34,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchjson [-suite runonce|campaign|codegen|convergence] [-out FILE]
+//	go run ./cmd/benchjson [-suite runonce|codegen|convergence] [-out FILE]
 //	go run ./cmd/benchjson -compare [-tolerance T] old.json new.json
 package main
 
@@ -67,7 +64,7 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	N           int     `json:"n"`
-	// SamplesPerSec is reported by the campaign suite only.
+	// SamplesPerSec is reported by the codegen suite only.
 	SamplesPerSec float64 `json:"samples_per_sec,omitempty"`
 	// SSF, CIHalfWidth, and ESS are reported by the convergence suite
 	// only (ns_per_op holds the samples-to-target-CI count there).
@@ -78,9 +75,6 @@ type benchResult struct {
 
 type benchFile struct {
 	Benchmarks []benchResult `json:"benchmarks"`
-	// SpeedupBatched records batched-over-scalar campaign throughput
-	// (campaign suite only).
-	SpeedupBatched float64 `json:"speedup_batched_vs_scalar,omitempty"`
 	// SpeedupCodegen records generated-over-interpreted combinational
 	// pass throughput; SpeedupCodegenCampaign records the
 	// same ratio at full-campaign level (codegen suite only).
@@ -90,7 +84,7 @@ type benchFile struct {
 
 func main() {
 	out := flag.String("out", "", "output path (default BENCH_<suite>.json)")
-	suite := flag.String("suite", "runonce", "benchmark suite: runonce | campaign | codegen | convergence")
+	suite := flag.String("suite", "runonce", "benchmark suite: runonce | codegen | convergence")
 	compare := flag.Bool("compare", false, "compare two records (old.json new.json) instead of benchmarking")
 	tolerance := flag.Float64("tolerance", 0.25, "compare: allowed fractional ns/op growth before failing")
 	flag.Parse()
@@ -109,8 +103,6 @@ func main() {
 	switch *suite {
 	case "runonce":
 		results = runOnceSuite()
-	case "campaign":
-		results = campaignSuite()
 	case "codegen":
 		results = codegenSuite()
 	case "convergence":
@@ -120,21 +112,6 @@ func main() {
 	}
 
 	file := benchFile{Benchmarks: results}
-	if *suite == "campaign" {
-		var scalar, batched float64
-		for _, r := range results {
-			switch r.Name {
-			case "CampaignScalar":
-				scalar = r.NsPerOp
-			case "CampaignBatched":
-				batched = r.NsPerOp
-			}
-		}
-		if batched > 0 {
-			file.SpeedupBatched = scalar / batched
-			fmt.Printf("batched speedup: %.2fx\n", file.SpeedupBatched)
-		}
-	}
 	if *suite == "codegen" {
 		var evalInterp, evalGen, campInterp, campGen float64
 		for _, r := range results {
@@ -247,36 +224,6 @@ func runOnceSuite() []benchResult {
 	return results
 }
 
-// campaignSuite measures end-to-end campaign throughput on the bundled
-// MPU workload, scalar vs lane-batched, with the same importance
-// sampler and seed the root go-bench harness uses.
-func campaignSuite() []benchResult {
-	_, ev := setup()
-	var results []benchResult
-	for _, cfg := range []struct {
-		name  string
-		batch bool
-	}{
-		{"CampaignScalar", false},
-		{"CampaignBatched", true},
-	} {
-		res := record(&results, cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			sp, err := ev.ImportanceSampler()
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: cfg.batch}
-			b.ResetTimer()
-			if _, err := ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
-				b.Fatal(err)
-			}
-		})
-		res.SamplesPerSec = 1e9 / res.NsPerOp
-	}
-	return results
-}
-
 // codegenSuite measures what the generated straight-line evaluator
 // buys over the interpreted op stream, at two levels. EvalPass* rows
 // time a single 64-lane combinational pass of the bundled MPU — the
@@ -288,8 +235,8 @@ func campaignSuite() []benchResult {
 // and one with the committed MPU evaluator bound; that ratio is
 // Amdahl-diluted because most of a sample is gate-level timing
 // injection, not combinational sweep. Same workload, sampler, and seed
-// as the campaign suite; fixed-seed results are bit-identical on both
-// paths (montecarlo's TestCampaignCodegenEquivalence pins that).
+// as the root BenchmarkCampaign; fixed-seed results are bit-identical on
+// both paths (montecarlo's TestCampaignCodegenEquivalence pins that).
 func codegenSuite() []benchResult {
 	_, evGen := setup()
 	if !evGen.Engine.SoC.Sim.Plan().Generated() {
@@ -346,7 +293,7 @@ func codegenSuite() []benchResult {
 			if err != nil {
 				b.Fatal(err)
 			}
-			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Batch: true}
+			opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1}
 			b.ResetTimer()
 			if _, err := ev.Engine.RunCampaign(b.Context(), sp, opts); err != nil {
 				b.Fatal(err)
@@ -390,30 +337,26 @@ func convergenceSuite() []benchResult {
 		name    string
 		sampler sampling.Sampler
 		adapt   bool
-		cv      bool
 	}{
-		{"ConvRandom", ev.RandomSampler(), false, false},
-		{"ConvImportance", newIm(), false, false},
-		{"ConvImportanceAdapt", newIm(), true, false},
-		{"ConvImportanceCV", newIm(), false, true},
-		{"ConvStratified", newStrat(), false, false},
-		{"ConvStratifiedNeyman", newStrat(), true, false},
-		{"ConvSobol", sampling.NewSobol(newIm()), false, false},
+		{"ConvRandom", ev.RandomSampler(), false},
+		{"ConvImportance", newIm(), false},
+		{"ConvImportanceAdapt", newIm(), true},
+		{"ConvStratified", newStrat(), false},
+		{"ConvStratifiedNeyman", newStrat(), true},
+		{"ConvSobol", sampling.NewSobol(newIm()), false},
 	}
 	var results []benchResult
 	for _, cfg := range cfgs {
 		aopts := montecarlo.AdaptiveOptions{
-			Seed:           1,
-			Epsilon:        convTargetCI,
-			Risk:           1 / (stats.Z95 * stats.Z95),
-			MinSamples:     2000,
-			MaxSamples:     convMaxSamples,
-			CheckEvery:     1000,
-			Batch:          true,
-			AdaptProposal:  cfg.adapt,
-			ControlVariate: cfg.cv,
+			Seed:          1,
+			Epsilon:       convTargetCI,
+			Risk:          1 / (stats.Z95 * stats.Z95),
+			MinSamples:    2000,
+			MaxSamples:    convMaxSamples,
+			CheckEvery:    1000,
+			AdaptProposal: cfg.adapt,
 		}
-		camp, err := ev.Engine.RunAdaptive(context.Background(), cfg.sampler, aopts)
+		camp, err := montecarlo.RunRounds(context.Background(), []*montecarlo.Engine{ev.Engine}, cfg.sampler, aopts)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", cfg.name, err))
 		}

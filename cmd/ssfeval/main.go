@@ -1,9 +1,9 @@
 // Command ssfeval evaluates the System Security Factor of a benchmark
 // under a configurable attack, with a chosen sampling strategy.
 //
-// Campaigns can run across an engine pool (-parallel N), use the
-// lane-batched speculative resume (-batch), and stop adaptively on the
-// paper's weak-LLN convergence bound (-adaptive -eps E). Ctrl-C cancels
+// Gate and register campaigns run the lane-batched speculative resume,
+// can run across an engine pool (-parallel N), and can stop adaptively
+// on the paper's weak-LLN convergence bound (-adaptive -eps E). Ctrl-C cancels
 // a running campaign cleanly and reports the partial results
 // accumulated so far. -cpuprofile / -memprofile write pprof profiles of
 // the campaign for performance investigation.
@@ -43,12 +43,10 @@ func main() {
 	parallel := flag.Int("parallel", 1, "number of worker engines (campaign shards)")
 	adaptive := flag.Bool("adaptive", false, "stop on the weak-LLN convergence bound instead of a fixed sample count")
 	adaptProp := flag.Bool("adapt-proposal", false, "adaptive: re-tune the proposal between rounds (importance/stratified samplers)")
-	ctrlVar := flag.Bool("cv", false, "use the analytical control variate (random/importance/sobol samplers, gate/register modes)")
 	eps := flag.Float64("eps", 0.005, "adaptive: absolute accuracy target epsilon")
 	risk := flag.Float64("risk", 0.05, "adaptive: acceptable risk of an eps-deviation")
 	maxSamples := flag.Int("max-samples", 1<<20, "adaptive: hard cap on total samples")
 	progress := flag.Bool("progress", stderrIsTerminal(), "print a live progress line to stderr")
-	batch := flag.Bool("batch", false, "use the lane-batched speculative resume (gate/register modes)")
 	codegen := flag.Bool("codegen", true, "bind the generated straight-line evaluator when one matches the compiled plan hash (false = always interpret)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the campaign to this file")
@@ -127,7 +125,7 @@ func main() {
 		}
 	}
 
-	copts := montecarlo.CampaignOptions{Samples: *samples, Seed: *seed, Progress: prog, Batch: *batch, ControlVariate: *ctrlVar}
+	copts := montecarlo.CampaignOptions{Samples: *samples, Seed: *seed, Progress: prog}
 	var camp *montecarlo.Campaign
 	workers := 1
 	if *cpuProfile != "" {
@@ -159,9 +157,7 @@ func main() {
 			aopts.Seed = *seed
 			aopts.MaxSamples = *maxSamples
 			aopts.Progress = prog
-			aopts.Batch = *batch
 			aopts.AdaptProposal = *adaptProp
-			aopts.ControlVariate = *ctrlVar
 			camp, err = pool.RunAdaptive(ctx, sp, aopts)
 		} else if pool.Size() > 1 {
 			camp, err = pool.Run(ctx, sp, copts)
@@ -169,8 +165,8 @@ func main() {
 			camp, err = ev.Engine.RunCampaign(ctx, sp, copts)
 		}
 	case "glitch":
-		if *parallel > 1 || *adaptive || *batch || *ctrlVar {
-			fatal(fmt.Errorf("glitch campaigns run sequentially, scalar, with a fixed sample count and no control variate"))
+		if *parallel > 1 || *adaptive {
+			fatal(fmt.Errorf("glitch campaigns run sequentially, scalar, with a fixed sample count"))
 		}
 		tech := fault.DefaultClockGlitch()
 		tech.Depth = *glitchDepth

@@ -6,8 +6,9 @@
 //
 //   - an EnginePool clones the SoC over the shared MPU elaboration so
 //     shards run concurrently on independent engines;
-//   - RunAdaptive(Parallel) checks Pr[|estimate − SSF| ≥ eps] ≤ risk
-//     between rounds and stops as soon as the bound holds.
+//   - EnginePool.RunAdaptive (montecarlo.RunRounds) checks
+//     Pr[|estimate − SSF| ≥ eps] ≤ risk between rounds and stops as
+//     soon as the bound holds.
 //
 // A progress callback observes the campaign while it runs, and a
 // context deadline shows how long campaigns stay cancellable: the

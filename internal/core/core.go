@@ -350,7 +350,7 @@ func (e *Evaluation) EvaluateSSF(ctx context.Context, sampler sampling.Sampler, 
 // CloneEngines builds n independent engines over the same design,
 // benchmark, and attack — each with its own SoC instance and golden run
 // (the MPU elaboration, placement, and characterization are shared;
-// they are immutable). Use with montecarlo.RunCampaignParallel.
+// they are immutable). Use with montecarlo.RunRounds.
 func (e *Evaluation) CloneEngines(n int) ([]*montecarlo.Engine, error) {
 	f := e.Framework
 	out := make([]*montecarlo.Engine, 0, n)
@@ -412,20 +412,37 @@ func (e *Evaluation) NewEnginePool(workers int) (*EnginePool, error) {
 // Size returns the number of engines in the pool.
 func (p *EnginePool) Size() int { return len(p.Engines) }
 
-// Run splits the campaign across the pool and merges the shard results
-// (montecarlo.RunCampaignParallel).
+// Run runs a fixed-size campaign across the pool as one round of
+// montecarlo.RunRounds: every engine runs one shard of about
+// Samples/Size samples with its own seed, and the shards merge in index
+// order. The result depends on the pool size and differs from
+// Engine.RunCampaign with the same seed. Convergence tracking is
+// per-sample and per-shard, so Run rejects it; trace a campaign with
+// Engine.RunCampaign instead.
 func (p *EnginePool) Run(ctx context.Context, sampler sampling.Sampler, opts montecarlo.CampaignOptions) (*montecarlo.Campaign, error) {
-	return montecarlo.RunCampaignParallel(ctx, p.Engines, sampler, opts)
+	if opts.Samples < 1 {
+		return nil, fmt.Errorf("core: %d samples", opts.Samples)
+	}
+	if opts.TrackConvergence {
+		return nil, fmt.Errorf("core: convergence tracking is per-shard; run Engine.RunCampaign to trace convergence")
+	}
+	n := len(p.Engines)
+	return montecarlo.RunRounds(ctx, p.Engines, sampler, montecarlo.AdaptiveOptions{
+		Mode:          opts.Mode,
+		Seed:          opts.Seed,
+		TrackPatterns: opts.TrackPatterns,
+		MinSamples:    opts.Samples,
+		MaxSamples:    opts.Samples,
+		CheckEvery:    (opts.Samples + n - 1) / n,
+		Progress:      opts.Progress,
+		ProgressEvery: opts.ProgressEvery,
+	})
 }
 
-// RunAdaptive runs chunked adaptive rounds across the pool, stopping
-// on the weak-LLN bound. A pool of one engine degenerates to the
-// sequential RunAdaptive (including its per-sample convergence trace).
+// RunAdaptive runs rounds across the pool until the weak-LLN bound or
+// the sample budget stops them (montecarlo.RunRounds).
 func (p *EnginePool) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts montecarlo.AdaptiveOptions) (*montecarlo.Campaign, error) {
-	if len(p.Engines) == 1 {
-		return p.Engines[0].RunAdaptive(ctx, sampler, opts)
-	}
-	return montecarlo.RunAdaptiveParallel(ctx, p.Engines, sampler, opts)
+	return montecarlo.RunRounds(ctx, p.Engines, sampler, opts)
 }
 
 // EvaluateSSFParallel runs the campaign across the given number of

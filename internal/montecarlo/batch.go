@@ -1,7 +1,7 @@
 // Lane-batched campaign execution: speculative 64-sample bit-parallel
 // RTL resume with exact scalar fallback.
 //
-// The scalar path pays three per-sample costs: a checkpoint restore to
+// A scalar RunOnce pays three per-sample costs: a checkpoint restore to
 // the injection cycle, one full SoC cycle to apply the gate-level
 // injection, and an RTL resume of the faulty SoC to the marked access's
 // decision. The batched path removes the first two by classifying every
@@ -21,7 +21,8 @@
 // cycle, reconstructing the full SoC state it would have had; a lane
 // whose registers return to golden has converged (the fault died — the
 // attack failed), mirroring the scalar convergence cut. Fixed-seed
-// campaign results are bit-identical to the scalar path.
+// campaign results are bit-identical to evaluating every sample with
+// RunOnce.
 package montecarlo
 
 import (

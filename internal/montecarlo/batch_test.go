@@ -143,12 +143,11 @@ func TestBatchCampaignEquivalence(t *testing.T) {
 		Samples: 3000, Seed: 21,
 		TrackConvergence: true, TrackPatterns: true,
 	}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), sampler, opts)
+	scalar, err := ev.Engine.RunCampaignScalar(sampler, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
-	opts.BatchWindow = 700 // not a divisor of Samples: exercises the partial final window
+	// 3000 samples fill one DefaultBatchWindow and part of a second.
 	batched, err := ev.Engine.RunCampaign(context.Background(), sampler, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -165,11 +164,10 @@ func TestBatchCampaignEquivalence(t *testing.T) {
 func TestBatchCampaignForcedDivergence(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	opts := montecarlo.CampaignOptions{Samples: 2000, Seed: 4, TrackConvergence: true}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
+	scalar, err := ev.Engine.RunCampaignScalar(ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
 	batched, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +183,10 @@ func TestBatchCampaignForcedDivergence(t *testing.T) {
 func TestBatchRegisterAttackEquivalence(t *testing.T) {
 	ev := evaluation(t)
 	opts := montecarlo.CampaignOptions{Samples: 1500, Seed: 9, Mode: montecarlo.RegisterAttack}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
+	scalar, err := ev.Engine.RunCampaignScalar(ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
 	batched, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -222,11 +219,10 @@ func TestBatchMultiCycleFallsBackToScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := montecarlo.CampaignOptions{Samples: 1200, Seed: 5}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
+	scalar, err := ev.Engine.RunCampaignScalar(ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
 	batched, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -239,45 +235,60 @@ func TestBatchMultiCycleFallsBackToScalar(t *testing.T) {
 	}
 }
 
-// TestBatchParallelAndAdaptive: the orchestration layers must forward
-// the batch option and stay bit-identical to their scalar selves.
+// TestBatchParallelAndAdaptive: the orchestrator's shards are batched
+// RunCampaign shards, so a RunRounds result equals the scalar oracle
+// run shard by shard — same split, shard seeds
+// Seed*1000003 + round*engines + shard — and merged in order. Covered
+// for a fixed-size pool run (one round over three engines) and a
+// one-engine run of several rounds ending on a partial one.
 func TestBatchParallelAndAdaptive(t *testing.T) {
 	ev := evaluation(t)
 	engines, err := ev.CloneEngines(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	popts := montecarlo.CampaignOptions{Samples: 3000, Seed: 11}
-	scalarP, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), popts)
-	if err != nil {
-		t.Fatal(err)
+	// scalarRounds merges the scalar oracle campaigns of the given
+	// rounds, each a list of per-engine shard sizes.
+	scalarRounds := func(seed int64, rounds [][]int) *montecarlo.Campaign {
+		var total *montecarlo.Campaign
+		for r, shards := range rounds {
+			for i, n := range shards {
+				c, err := engines[i].RunCampaignScalar(ev.RandomSampler(), montecarlo.CampaignOptions{
+					Samples: n, Seed: seed*1000003 + int64(r*len(shards)+i),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if total == nil {
+					total = c
+				} else if err := total.Merge(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return total
 	}
-	popts.Batch = true
-	batchedP, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batchedP.Est.Estimate() != scalarP.Est.Estimate() || batchedP.Successes != scalarP.Successes ||
-		batchedP.ClassCounts != scalarP.ClassCounts || batchedP.PathCounts != scalarP.PathCounts {
-		t.Errorf("parallel campaign mismatch: batched %g/%d, scalar %g/%d",
-			batchedP.Est.Estimate(), batchedP.Successes, scalarP.Est.Estimate(), scalarP.Successes)
+	same := func(label string, got, want *montecarlo.Campaign) {
+		t.Helper()
+		if got.Est.State() != want.Est.State() || got.Successes != want.Successes ||
+			got.ClassCounts != want.ClassCounts || got.PathCounts != want.PathCounts ||
+			got.RTLCycles != want.RTLCycles {
+			t.Errorf("%s mismatch: batched %g/%d, scalar %g/%d",
+				label, got.Est.Estimate(), got.Successes, want.Est.Estimate(), want.Successes)
+		}
 	}
 
-	aopts := montecarlo.DefaultAdaptive(0.02)
-	aopts.Seed = 13
-	aopts.MaxSamples = 4000
-	scalarA, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), aopts)
+	pool := &core.EnginePool{Evaluation: ev, Engines: engines}
+	batchedP, err := pool.Run(context.Background(), ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 3000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aopts.Batch = true
-	batchedA, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), aopts)
+	same("pool", batchedP, scalarRounds(11, [][]int{{1000, 1000, 1000}}))
+
+	aopts := montecarlo.AdaptiveOptions{Seed: 13, MinSamples: 1800, MaxSamples: 1800, CheckEvery: 500}
+	batchedA, err := montecarlo.RunRounds(context.Background(), engines[:1], ev.RandomSampler(), aopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batchedA.Est.Estimate() != scalarA.Est.Estimate() || batchedA.Est.N() != scalarA.Est.N() ||
-		batchedA.Successes != scalarA.Successes {
-		t.Errorf("adaptive campaign mismatch: batched %g over %d, scalar %g over %d",
-			batchedA.Est.Estimate(), batchedA.Est.N(), scalarA.Est.Estimate(), scalarA.Est.N())
-	}
+	same("rounds", batchedA, scalarRounds(13, [][]int{{500}, {500}, {500}, {300}}))
 }

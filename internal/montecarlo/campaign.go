@@ -35,27 +35,9 @@ type CampaignOptions struct {
 	// ProgressEvery is the approximate number of samples between
 	// Progress callbacks; 0 means the default (500).
 	ProgressEvery int
-	// Batch enables the lane-batched execution path: single-cycle
-	// samples are classified against the cached golden attack window
-	// and their RTL resumes run up to 64 at a time in the lanes of one
-	// forked simulator, with exact scalar fallback for lanes that
-	// diverge behaviorally. Results are bit-identical to the scalar
-	// path for the same seed.
+	// Batch is ignored: every campaign runs the lane-batched path. The
+	// field remains so that callers which still set it keep compiling.
 	Batch bool
-	// BatchWindow is the number of draws buffered before deferred
-	// resumes are flushed and results are committed (in draw order);
-	// 0 means DefaultBatchWindow. Larger windows fill lanes better;
-	// the window also bounds cancellation latency.
-	BatchWindow int
-	// ControlVariate subtracts the analytical memory-type predictor
-	// from the estimate: the campaign accumulates the exactly-known
-	// control phi(t, center) alongside each outcome and reports the
-	// regression-adjusted estimate (optimal coefficient estimated
-	// online). Requires an engine with Char and Analytical, and a
-	// sampler whose proposal covers the full nominal support (random,
-	// importance, sobol) — restricted-support samplers would bias the
-	// control's observed mean.
-	ControlVariate bool
 }
 
 // Campaign is the aggregate result of a sampling campaign.
@@ -97,27 +79,16 @@ type Campaign struct {
 	// distance (index t); adaptive proposal re-weighting reads them.
 	// The slices grow lazily to the largest observed t+1.
 	TDraws, THits []int
-	// CV is the control-variate regression state when
-	// Options.ControlVariate is on (nil otherwise); CVMean is the
-	// exact nominal-distribution mean of the control, computed by
-	// enumeration over the discrete (t, center) space.
-	CV     *stats.BivariateMoments
-	CVMean float64
 }
 
 // SSF returns the campaign's System Security Factor estimate: the
-// stratified estimate when per-stratum state is tracked, the
-// control-variate-adjusted estimate when a control is attached, and the
-// plain weighted mean otherwise.
+// stratified estimate when per-stratum state is tracked, and the plain
+// weighted mean otherwise.
 func (c *Campaign) SSF() float64 {
-	switch {
-	case c.Strata != nil:
+	if c.Strata != nil {
 		return c.Strata.Estimate()
-	case c.CV != nil && c.CV.N() > 1:
-		return c.CV.Adjusted(c.CVMean)
-	default:
-		return c.Est.Estimate()
 	}
+	return c.Est.Estimate()
 }
 
 // Variance returns the per-term sample variance of the plain weighted
@@ -128,21 +99,17 @@ func (c *Campaign) Variance() float64 { return c.Est.Variance() }
 
 // EstimatorVariance returns the variance of the campaign's SSF
 // estimate under whichever estimator SSF uses: the exact stratified
-// estimator variance, the regression-adjusted variance over n, or the
-// plain term variance over n. An empty campaign reports +Inf.
+// estimator variance, or the plain term variance over n. An empty
+// campaign reports +Inf.
 func (c *Campaign) EstimatorVariance() float64 {
-	switch {
-	case c.Strata != nil:
+	if c.Strata != nil {
 		return c.Strata.EstVariance()
-	case c.CV != nil && c.CV.N() > 1:
-		return c.CV.AdjustedVariance() / float64(c.CV.N())
-	default:
-		n := c.Est.N()
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return c.Est.Variance() / float64(n)
 	}
+	n := c.Est.N()
+	if n == 0 {
+		return math.Inf(1)
+	}
+	return c.Est.Variance() / float64(n)
 }
 
 // StdErr returns the standard error of the SSF estimate under the
@@ -161,7 +128,7 @@ func (c *Campaign) ESS() float64 { return c.Weights.ESS() }
 
 // llnBound is the generalized Chebyshev stopping bound
 // Pr[|est − SSF| ≥ eps] ≤ Var[est]/eps², clamped to 1. For campaigns
-// without strata or control it equals Est.LLNBound exactly.
+// without strata it equals Est.LLNBound exactly.
 func (c *Campaign) llnBound(eps float64) float64 {
 	if eps <= 0 || c.Est.N() == 0 {
 		return 1
@@ -184,9 +151,23 @@ func tally(s *[]int, t int) {
 	(*s)[t]++
 }
 
-// RunCampaign draws samples from the sampler and evaluates each with
-// the engine, accumulating the weighted SSF estimate. RunGolden must
-// have been called.
+// DefaultBatchWindow is the number of draws buffered per batched flush:
+// enough that draws aimed at the same injection cycle fill most of a
+// 64-lane word, small enough that cancellation stays responsive.
+const DefaultBatchWindow = 2048
+
+// RunCampaign is one campaign shard: one engine, one seed. It draws
+// opts.Samples samples from the sampler, evaluates them over the
+// lane-batched path and accumulates the weighted SSF estimate.
+// RunGolden must have been called.
+//
+// Draws are buffered in windows of DefaultBatchWindow. Every sample is
+// injected and classified in draw order against the cached golden
+// attack window; the window's deferred single-cycle RTL resumes then run
+// 64 at a time in the lanes of one forked simulator, and the window's
+// results are committed, again in draw order. Multi-cycle samples and
+// samples outside the recorded window fall back to RunOnce. The result
+// is bit-identical to evaluating every draw with RunOnce in turn.
 //
 // The context cancels or deadlines the campaign between samples: on
 // cancellation the partial Campaign accumulated so far is returned
@@ -198,24 +179,37 @@ func (e *Engine) RunCampaign(ctx context.Context, sampler sampling.Sampler, opts
 }
 
 // runCampaign is RunCampaign reporting progress through a caller-owned
-// aggregator under the given shard index (parallel campaigns share one
-// aggregator across their shards).
+// aggregator under the given shard index (the shards of one round share
+// one aggregator).
 func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) (*Campaign, error) {
+	c, sampler, rng, err := e.newCampaign(sampler, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.runWindows(ctx, c, rng, sampler, agg, shard); err != nil {
+		c.Options.Samples = c.Est.N()
+		return c, err
+	}
+	return c, nil
+}
+
+// newCampaign validates the options and returns an empty campaign
+// together with the sampler stream and rng it is drawn from.
+func (e *Engine) newCampaign(sampler sampling.Sampler, opts CampaignOptions) (*Campaign, sampling.Sampler, *rand.Rand, error) {
 	if e.golden == nil {
-		return nil, fmt.Errorf("montecarlo: RunCampaign before RunGolden")
+		return nil, nil, nil, fmt.Errorf("montecarlo: RunCampaign before RunGolden")
 	}
 	if opts.Samples < 1 {
-		return nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
+		return nil, nil, nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
 	}
 	// Stateful samplers (low-discrepancy sequences, per-stratum
 	// substreams) are never drawn from directly: each campaign forks a
 	// private stream keyed by its seed, so the per-(round, shard) seed
-	// derivation of the parallel runners makes every stream — and every
-	// resumed replay of it — deterministic.
+	// derivation of RunRounds makes every stream — and every resumed
+	// replay of it — deterministic.
 	if f, ok := sampler.(sampling.Forker); ok {
 		sampler = f.Fork(opts.Seed)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	c := &Campaign{
 		SamplerName:     sampler.Name(),
 		Options:         opts,
@@ -228,71 +222,89 @@ func (e *Engine) runCampaign(ctx context.Context, sampler sampling.Sampler, opts
 		}
 		strata, err := stats.NewStratified(probs)
 		if err != nil {
-			return nil, fmt.Errorf("montecarlo: stratified sampler: %w", err)
+			return nil, nil, nil, fmt.Errorf("montecarlo: stratified sampler: %w", err)
 		}
 		c.Strata = strata
-	}
-	if opts.ControlVariate {
-		cv, err := e.controlVariate()
-		if err != nil {
-			return nil, err
-		}
-		switch sampler.Name() {
-		case "random", "importance", "sobol":
-		default:
-			return nil, fmt.Errorf("montecarlo: control variate requires a full-support sampler (random, importance, sobol), got %q", sampler.Name())
-		}
-		c.CV = &stats.BivariateMoments{}
-		c.CVMean = cv.mean
 	}
 	if opts.TrackConvergence {
 		c.Convergence = make([]float64, 0, opts.Samples)
 	}
-	run := e.runSamples
-	if opts.Batch {
-		run = e.runSamplesBatched
+	if opts.TrackPatterns {
+		c.Patterns = make(map[string]bool)
+		c.PatternCounts = make(map[timingsim.PatternClass]int)
 	}
-	if err := run(ctx, c, rng, sampler, opts, agg, shard); err != nil {
-		c.Options.Samples = c.Est.N()
-		return c, err
-	}
-	return c, nil
+	return c, sampler, rand.New(rand.NewSource(opts.Seed)), nil
 }
 
-// runSamples evaluates opts.Samples draws into c, consulting ctx
-// between samples and reporting to agg.
-func (e *Engine) runSamples(ctx context.Context, c *Campaign, rng *rand.Rand, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) error {
-	var layout *timingsim.RegisterLayout
-	if opts.TrackPatterns {
-		if c.Patterns == nil {
-			c.Patterns = make(map[string]bool)
-			c.PatternCounts = make(map[timingsim.PatternClass]int)
-		}
-		layout = timingsim.NewRegisterLayout(e.SoC.MPU.Groups)
+// patternLayout returns the register layout that classifies latched
+// patterns, or nil when the campaign does not track them.
+func (e *Engine) patternLayout(c *Campaign) *timingsim.RegisterLayout {
+	if !c.Options.TrackPatterns {
+		return nil
 	}
+	return timingsim.NewRegisterLayout(e.SoC.MPU.Groups)
+}
+
+// runWindows evaluates c.Options.Samples draws into c in batch windows
+// (see RunCampaign), consulting ctx between samples and reporting to
+// agg.
+func (e *Engine) runWindows(ctx context.Context, c *Campaign, rng *rand.Rand, sampler sampling.Sampler, agg *progressAgg, shard int) error {
+	layout := e.patternLayout(c)
+	total, mode := c.Options.Samples, c.Options.Mode
+	window := min(DefaultBatchWindow, total)
+	samples := make([]fault.Sample, window)
+	weights := make([]float64, window)
+	results := make([]RunResult, window)
+	pend := make([]pendingResume, 0, window)
 	st, _ := sampler.(sampling.Stratal)
 	done := ctx.Done()
-	for i := 0; i < opts.Samples; i++ {
-		select {
-		case <-done:
+	evaluated := 0
+	for evaluated < total {
+		n := total - evaluated
+		if n > window {
+			n = window
+		}
+		cancelled := false
+		drawn := 0
+		pend = pend[:0]
+		for j := 0; j < n; j++ {
+			select {
+			case <-done:
+				cancelled = true
+			default:
+			}
+			if cancelled {
+				break
+			}
+			sample, weight := sampler.Draw(rng)
+			res, te, deferred := e.evalSample(rng, sample, mode)
+			samples[j], weights[j], results[j] = sample, weight, res
+			if deferred {
+				pend = append(pend, pendingResume{idx: j, te: te, flips: res.Flipped})
+			}
+			drawn++
+		}
+		e.flushResumes(pend, results)
+		for j := 0; j < drawn; j++ {
+			e.accumulate(c, layout, st, samples[j], weights[j], &results[j])
+			evaluated++
+			agg.observe(shard, c, evaluated == total)
+		}
+		if cancelled {
 			agg.observe(shard, c, true)
 			return ctx.Err()
-		default:
 		}
-		sample, weight := sampler.Draw(rng)
-		res := e.RunOnce(rng, sample, opts.Mode)
-		e.accumulate(c, &opts, layout, st, sample, weight, &res)
-		agg.observe(shard, c, i+1 == opts.Samples)
 	}
 	return nil
 }
 
 // accumulate folds one evaluated sample into the campaign aggregate.
-// The fold order is the draw order — the weighted estimator is a
-// floating-point sum, so both execution paths commit results in exactly
-// this order to stay bit-identical. st is the sampler's Stratal view
-// when the campaign tracks per-stratum state (c.Strata non-nil).
-func (e *Engine) accumulate(c *Campaign, opts *CampaignOptions, layout *timingsim.RegisterLayout, st sampling.Stratal, sample fault.Sample, weight float64, res *RunResult) {
+// The fold order is the draw order: the weighted estimator is a
+// floating-point sum, so results are committed in exactly this order to
+// stay bit-identical to a one-by-one RunOnce campaign. st is the
+// sampler's Stratal view when the campaign tracks per-stratum state
+// (c.Strata non-nil).
+func (e *Engine) accumulate(c *Campaign, layout *timingsim.RegisterLayout, st sampling.Stratal, sample fault.Sample, weight float64, res *RunResult) {
 	x := 0.0
 	if res.Success {
 		x = 1.0
@@ -310,100 +322,16 @@ func (e *Engine) accumulate(c *Campaign, opts *CampaignOptions, layout *timingsi
 	if c.Strata != nil && st != nil {
 		c.Strata.Add(st.StratumOf(sample), x, st.ConditionalWeight(sample, weight), res.Success)
 	}
-	if c.CV != nil {
-		c.CV.Add(x*weight, weight*e.cvTab.phi(sample))
-	}
 	c.ClassCounts[res.Class]++
 	c.PathCounts[res.Path]++
 	c.RTLCycles += res.ResumeCycles
-	if opts.TrackConvergence {
-		// Legacy samplers keep the plain weighted-mean trace (whose
-		// chunked form MergeSequential can replay); stratified and
-		// control-variate campaigns trace their own estimator.
-		if c.Strata != nil || c.CV != nil {
-			c.Convergence = append(c.Convergence, c.SSF())
-		} else {
-			c.Convergence = append(c.Convergence, c.Est.Estimate())
-		}
+	if c.Options.TrackConvergence {
+		c.Convergence = append(c.Convergence, c.SSF())
 	}
-	if opts.TrackPatterns && len(res.Flipped) > 0 {
+	if layout != nil && len(res.Flipped) > 0 {
 		c.Patterns[timingsim.PatternKey(res.Flipped)] = true
 		c.PatternCounts[layout.Classify(res.Flipped)]++
 	}
-}
-
-// DefaultBatchWindow is the number of draws buffered per batched flush:
-// enough that draws aimed at the same injection cycle fill most of a
-// 64-lane word, small enough that cancellation stays responsive.
-const DefaultBatchWindow = 2048
-
-// runSamplesBatched is runSamples over the lane-batched execution path:
-// draws are buffered in windows, every sample is injected and
-// classified in draw order against the cached golden attack window
-// (identical rng consumption to the scalar path), and the deferred
-// PathRTL resumes of each window are completed in 64-lane batches
-// before the window's results are committed — again in draw order, so
-// fixed-seed campaigns are bit-identical to the scalar path.
-func (e *Engine) runSamplesBatched(ctx context.Context, c *Campaign, rng *rand.Rand, sampler sampling.Sampler, opts CampaignOptions, agg *progressAgg, shard int) error {
-	var layout *timingsim.RegisterLayout
-	if opts.TrackPatterns {
-		if c.Patterns == nil {
-			c.Patterns = make(map[string]bool)
-			c.PatternCounts = make(map[timingsim.PatternClass]int)
-		}
-		layout = timingsim.NewRegisterLayout(e.SoC.MPU.Groups)
-	}
-	window := opts.BatchWindow
-	if window < 1 {
-		window = DefaultBatchWindow
-	}
-	if window > opts.Samples {
-		window = opts.Samples
-	}
-	samples := make([]fault.Sample, window)
-	weights := make([]float64, window)
-	results := make([]RunResult, window)
-	pend := make([]pendingResume, 0, window)
-	st, _ := sampler.(sampling.Stratal)
-	done := ctx.Done()
-	evaluated := 0
-	for evaluated < opts.Samples {
-		n := opts.Samples - evaluated
-		if n > window {
-			n = window
-		}
-		cancelled := false
-		drawn := 0
-		pend = pend[:0]
-		for j := 0; j < n; j++ {
-			select {
-			case <-done:
-				cancelled = true
-			default:
-			}
-			if cancelled {
-				break
-			}
-			sample, weight := sampler.Draw(rng)
-			res, te, deferred := e.evalSample(rng, sample, opts.Mode)
-			samples[j], weights[j], results[j] = sample, weight, res
-			if deferred {
-				pend = append(pend, pendingResume{idx: j, te: te, flips: res.Flipped})
-			}
-			drawn++
-		}
-		e.flushResumes(pend, results)
-		for j := 0; j < drawn; j++ {
-			e.accumulate(c, &opts, layout, st, samples[j], weights[j], &results[j])
-			evaluated++
-			agg.observe(shard, c, evaluated == opts.Samples)
-		}
-		if cancelled {
-			agg.observe(shard, c, true)
-			return ctx.Err()
-		}
-	}
-	return nil
 }
 
 // CriticalRegisters returns registers ranked by their share of the

@@ -64,24 +64,21 @@ func TestCampaignCodegenEquivalence(t *testing.T) {
 		Samples: 2000, Seed: 31,
 		TrackConvergence: true, TrackPatterns: true,
 	}
-	wantScalar, err := evInt.Engine.RunCampaign(context.Background(), samplerInt, opts)
+	wantScalar, err := evInt.Engine.RunCampaignScalar(samplerInt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotScalar, err := evGen.Engine.RunCampaign(context.Background(), samplerGen, opts)
+	gotScalar, err := evGen.Engine.RunCampaignScalar(samplerGen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareCampaigns(t, "scalar", gotScalar, wantScalar)
 
-	o := opts
-	o.Batch = true
-	o.BatchWindow = 700
-	want, err := evInt.Engine.RunCampaign(context.Background(), samplerInt, o)
+	want, err := evInt.Engine.RunCampaign(context.Background(), samplerInt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := evGen.Engine.RunCampaign(context.Background(), samplerGen, o)
+	got, err := evGen.Engine.RunCampaign(context.Background(), samplerGen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/montecarlo"
 )
 
@@ -58,14 +59,15 @@ func TestParallelCancellationMergesPartialsNoLeak(t *testing.T) {
 		Samples: 1 << 20, Seed: 7,
 		Progress: prog, ProgressEvery: 50,
 	}
-	c, err := montecarlo.RunCampaignParallel(ctx, engines, ev.RandomSampler(), opts)
+	pool := &core.EnginePool{Evaluation: ev, Engines: engines}
+	c, err := pool.Run(ctx, ev.RandomSampler(), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if c == nil || c.Est.N() < 300 || c.Est.N() >= opts.Samples {
 		t.Fatalf("partial merge wrong: %+v", c)
 	}
-	// All shard goroutines must have exited (RunCampaignParallel joins
+	// All shard goroutines must have exited (RunRounds joins
 	// them before returning); allow the runtime a moment to reap.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -85,8 +87,8 @@ func TestParallelShardPanicIsolated(t *testing.T) {
 	// Sabotage shard 1 so its first run panics; the orchestrator must
 	// convert that into an indexed error instead of crashing.
 	engines[1].SoC = nil
-	_, err = montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(),
-		montecarlo.CampaignOptions{Samples: 100, Seed: 1})
+	pool := &core.EnginePool{Evaluation: ev, Engines: engines}
+	_, err = pool.Run(context.Background(), ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 100, Seed: 1})
 	if err == nil {
 		t.Fatal("panicking shard produced no error")
 	}
@@ -102,12 +104,12 @@ func TestRunAdaptiveTracksConvergence(t *testing.T) {
 	opts.CheckEvery = 200
 	opts.MaxSamples = 5000
 	opts.TrackConvergence = true
-	c, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), opts)
+	c, err := montecarlo.RunRounds(context.Background(), []*montecarlo.Engine{ev.Engine}, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Convergence) != c.Est.N() {
-		t.Fatalf("trace length %d, campaign has %d samples", len(c.Convergence), c.Est.N())
+	if rounds := (c.Est.N() + opts.CheckEvery - 1) / opts.CheckEvery; len(c.Convergence) != rounds {
+		t.Fatalf("trace length %d, campaign ran %d rounds", len(c.Convergence), rounds)
 	}
 	last := c.Convergence[len(c.Convergence)-1]
 	if math.Abs(last-c.SSF()) > 1e-9 {
@@ -117,36 +119,6 @@ func TestRunAdaptiveTracksConvergence(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("trace entry %d is %v", i, v)
 		}
-	}
-}
-
-func TestMergeSequentialExtendsTrace(t *testing.T) {
-	ev := evaluation(t)
-	o1 := montecarlo.CampaignOptions{Samples: 300, Seed: 1, TrackConvergence: true}
-	o2 := montecarlo.CampaignOptions{Samples: 200, Seed: 2, TrackConvergence: true}
-	c1, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), o1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), o2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := append([]float64(nil), c1.Convergence...)
-	c1.MergeSequential(c2)
-	if c1.Est.N() != 500 || len(c1.Convergence) != 500 {
-		t.Fatalf("merged N=%d trace=%d", c1.Est.N(), len(c1.Convergence))
-	}
-	for i, v := range prefix {
-		if c1.Convergence[i] != v {
-			t.Fatalf("prefix entry %d changed: %v -> %v", i, v, c1.Convergence[i])
-		}
-	}
-	// The appended entries are running estimates of the combined
-	// campaign, so the last one converges to the merged estimate.
-	last := c1.Convergence[499]
-	if math.Abs(last-c1.SSF()) > 1e-9 {
-		t.Errorf("trace ends at %v, merged SSF is %v", last, c1.SSF())
 	}
 }
 
@@ -163,11 +135,11 @@ func TestRunAdaptiveParallelStopsNearSequential(t *testing.T) {
 	opts.MinSamples = 600
 	opts.CheckEvery = 150
 	opts.MaxSamples = 30000
-	seq, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), opts)
+	seq, err := montecarlo.RunRounds(context.Background(), []*montecarlo.Engine{ev.Engine}, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	par, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +169,11 @@ func TestRunAdaptiveParallelDeterministic(t *testing.T) {
 	opts.MinSamples = 300
 	opts.CheckEvery = 100
 	opts.MaxSamples = 5000
-	a, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	a, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	b, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +194,7 @@ func TestRunAdaptiveParallelTracksRoundTrace(t *testing.T) {
 	opts.CheckEvery = 100
 	opts.MaxSamples = 2000
 	opts.TrackConvergence = true
-	c, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	c, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +260,13 @@ func TestParallelProgressAggregates(t *testing.T) {
 		Progress:      func(p montecarlo.Progress) { final = p }, // callbacks are serialized
 		ProgressEvery: 100,
 	}
-	c, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	pool := &core.EnginePool{Evaluation: ev, Engines: engines}
+	c, err := pool.Run(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Done != 900 {
-		t.Errorf("final aggregate Done = %d", final.Done)
+	if final.Done != 900 || final.Total != 900 {
+		t.Errorf("final aggregate Done = %d, Total = %d", final.Done, final.Total)
 	}
 	if math.Abs(final.SSF-c.SSF()) > 1e-9 {
 		t.Errorf("aggregate SSF %v, merged campaign %v", final.SSF, c.SSF())

@@ -16,9 +16,7 @@ import (
 // attribution, and pattern sets. Convergence traces are dropped — a
 // cross-shard merge has no meaningful global sample order, so the
 // receiver's trace is cleared to avoid misreading a partial trace as
-// the whole campaign's. Use MergeSequential when o is a same-engine
-// continuation of c (the chunked adaptive rounds), where the
-// concatenated order is real.
+// the whole campaign's.
 //
 // Merge errors when the campaigns are statistically incomparable:
 // importance weights are likelihood ratios against one proposal, so
@@ -40,12 +38,6 @@ func (c *Campaign) Merge(o *Campaign) error {
 	if (c.Strata == nil) != (o.Strata == nil) {
 		return fmt.Errorf("montecarlo: merge of stratified and unstratified campaigns")
 	}
-	if (c.CV == nil) != (o.CV == nil) {
-		return fmt.Errorf("montecarlo: merge of control-variate and plain campaigns")
-	}
-	if c.CV != nil && c.CVMean != o.CVMean {
-		return fmt.Errorf("montecarlo: merge across control means (%v vs %v)", c.CVMean, o.CVMean)
-	}
 	if c.Strata != nil {
 		// Self-validating: errors (mismatched stratum layout) leave
 		// both sides untouched.
@@ -55,9 +47,6 @@ func (c *Campaign) Merge(o *Campaign) error {
 	}
 	if len(o.RegContribution) > 0 && c.RegContribution == nil {
 		c.RegContribution = make(map[netlist.NodeID]float64, len(o.RegContribution))
-	}
-	if c.CV != nil {
-		c.CV.Merge(*o.CV)
 	}
 	c.Weights.Merge(o.Weights)
 	mergeTally(&c.TDraws, o.TDraws)
@@ -95,45 +84,6 @@ func (c *Campaign) Merge(o *Campaign) error {
 	}
 	c.Convergence = nil
 	c.Options.Samples += o.Options.Samples
-	return nil
-}
-
-// MergeSequential folds a continuation chunk into this campaign while
-// extending the convergence trace: o must have been run after c on the
-// same engine (as the chunked RunAdaptive rounds are), so the
-// concatenated sample order is the campaign's real order. The appended
-// entries are recomputed as running estimates of the combined campaign
-// — o's own trace is relative to its chunk only. When either side did
-// not track convergence the trace is dropped, as in Merge. The replay
-// reconstructs terms of the plain weighted mean, so campaigns carrying
-// per-stratum or control-variate state (whose traces follow their own
-// estimator) also drop the trace.
-//
-// MergeSequential errors under the same conditions as Merge (sampler
-// or attack-mode mismatch), leaving the receiver unchanged.
-func (c *Campaign) MergeSequential(o *Campaign) error {
-	var conv []float64
-	replayable := c.Strata == nil && c.CV == nil &&
-		(o == nil || (o.Strata == nil && o.CV == nil))
-	if o != nil && replayable && c.Convergence != nil && o.Convergence != nil {
-		// The k-th chunk entry m_k is the running mean after k terms,
-		// so each weighted term is recoverable as
-		// m_k·k − m_{k−1}·(k−1); replaying the terms on a copy of the
-		// pre-merge estimator yields the campaign-global trace.
-		conv = c.Convergence
-		scratch := c.Est
-		prev := 0.0
-		for k, m := range o.Convergence {
-			term := m*float64(k+1) - prev*float64(k)
-			scratch.Add(term, 1)
-			conv = append(conv, scratch.Estimate())
-			prev = m
-		}
-	}
-	if err := c.Merge(o); err != nil {
-		return err
-	}
-	c.Convergence = conv
 	return nil
 }
 
@@ -258,93 +208,45 @@ func shardCampaignOptions(engines int, n int, opts CampaignOptions, round int64)
 	return out
 }
 
-// RunCampaignParallel splits a campaign across the given engines, one
-// goroutine per engine, and merges the shard results. Every engine must
-// target the same design/benchmark/attack and have completed its golden
-// run; each shard draws from the shared sampler with its own
-// deterministically-derived seed, so the merged result is reproducible
-// (independent of scheduling) but differs from the sequential campaign
-// with the same seed.
-//
-// Samplers built by internal/sampling are safe for concurrent Draw with
-// distinct rngs (they are immutable after construction).
-//
-// The context cancels the campaign: the shards stop at their next
-// sample boundary, their partials are merged, and the merged partial
-// Campaign is returned together with the context's error. A shard that
-// panics or fails is reported as an indexed error ("shard %d: ...")
-// without taking down the process; any such failure fails the whole
-// campaign.
-func RunCampaignParallel(ctx context.Context, engines []*Engine, sampler sampling.Sampler, opts CampaignOptions) (*Campaign, error) {
-	if err := validateEngines(engines); err != nil {
-		return nil, err
-	}
-	if opts.Samples < 1 {
-		return nil, fmt.Errorf("montecarlo: %d samples", opts.Samples)
-	}
-	if opts.TrackConvergence {
-		return nil, fmt.Errorf("montecarlo: convergence tracking is per-shard; run sequentially to trace convergence")
-	}
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, opts.Samples, len(engines))
-	shardOpts := shardCampaignOptions(len(engines), opts.Samples, opts, 0)
-	results, errs := runShards(ctx, engines, sampler, shardOpts, agg)
-	merged, err := mergeShards(ctx, results, errs)
-	if merged != nil {
-		merged.Options.Seed = opts.Seed
-		merged.Options.Progress = opts.Progress
-	}
-	return merged, err
-}
-
-// AdaptiveOptions configures RunAdaptive and RunAdaptiveParallel.
+// AdaptiveOptions configures RunRounds.
 type AdaptiveOptions struct {
 	// Mode, Seed, TrackPatterns as in CampaignOptions.
 	Mode          Mode
 	Seed          int64
 	TrackPatterns bool
-	// TrackConvergence records the campaign's running estimate. In
-	// RunAdaptive the trace has one entry per sample, exactly as a
-	// sequential RunCampaign would produce (the chunked rounds are
-	// stitched with MergeSequential). In RunAdaptiveParallel the
-	// per-sample order across shards is not meaningful, so the trace
-	// holds one entry per round instead: the merged estimate after
-	// each round.
+	// TrackConvergence records the merged estimate after every round.
+	// The per-sample order across shards is not meaningful, so the
+	// trace holds one entry per round.
 	TrackConvergence bool
 	// Epsilon and Risk define the stopping criterion via the paper's
 	// weak-LLN bound: stop once
 	// Pr[|estimate − SSF| ≥ Epsilon] ≤ Risk, i.e.
-	// variance/(N·Epsilon²) ≤ Risk.
+	// variance/(N·Epsilon²) ≤ Risk. A fixed-size run never consults
+	// them.
 	Epsilon, Risk float64
 	// MinSamples guards against stopping on a premature zero-variance
-	// streak; MaxSamples bounds the total effort.
+	// streak; MaxSamples bounds the total effort. Setting both to N
+	// runs exactly N samples (a fixed-size run).
 	MinSamples, MaxSamples int
-	// CheckEvery controls how often the bound is evaluated. In the
-	// parallel run each engine contributes CheckEvery samples per
-	// round, so the bound is checked every CheckEvery×engines samples.
+	// CheckEvery is the per-engine round size: every engine contributes
+	// CheckEvery samples per round, so the bound is checked every
+	// CheckEvery×engines samples.
 	CheckEvery int
-	// Progress and ProgressEvery as in CampaignOptions; adaptive
-	// snapshots report Total as 0 (open-ended).
+	// Progress and ProgressEvery as in CampaignOptions. Snapshots count
+	// the samples of this run only; Total is the budget still to run in
+	// a fixed-size run and 0 (open-ended) otherwise.
 	Progress      ProgressFunc
 	ProgressEvery int
-	// Batch and BatchWindow as in CampaignOptions: every chunk (and
-	// every shard of a parallel round) runs the lane-batched execution
-	// path, leaving results bit-identical to the scalar run with the
-	// same options.
-	Batch       bool
-	BatchWindow int
-	// ControlVariate as in CampaignOptions: every chunk/shard pairs the
-	// outcome with the analytical control and the merged campaign
-	// reports the control-variate-adjusted estimate.
-	ControlVariate bool
-	// Resume continues a previously checkpointed RunAdaptiveParallel
-	// campaign: the accumulated total restored from a Checkpoint
-	// snapshot of the same options. ResumeRound is the number of rounds
-	// that snapshot had completed — the round counter (and with it the
-	// deterministic per-(round, shard) seeds) continues from there, so
-	// a resumed run is bit-identical to the uninterrupted run with the
-	// same options, provided the snapshot round-tripped exactly
-	// (CampaignSnapshot guarantees this, including through JSON).
-	// RunAdaptive ignores both fields.
+	// Batch is ignored, as in CampaignOptions.
+	Batch bool
+	// Resume continues a previously checkpointed campaign: the
+	// accumulated total restored from a Checkpoint snapshot of the same
+	// options. ResumeRound is the number of rounds that snapshot had
+	// completed — the round counter (and with it the deterministic
+	// per-(round, shard) seeds) continues from there, so a resumed run
+	// is bit-identical to the uninterrupted run with the same options,
+	// provided the snapshot round-tripped exactly (CampaignSnapshot
+	// guarantees this, including through JSON).
 	Resume      *Campaign
 	ResumeRound int64
 	// AdaptProposal re-tunes the sampler between rounds when it
@@ -359,14 +261,13 @@ type AdaptiveOptions struct {
 	// estimate unbiased. Non-adaptive samplers are unaffected.
 	AdaptProposal bool
 	AdaptFloor    float64
-	// Checkpoint, when non-nil, is invoked by RunAdaptiveParallel after
-	// every merged round with the number of completed rounds and a deep
-	// copy of the accumulated campaign (safe to retain and serialize;
-	// its Convergence holds the per-round trace when TrackConvergence
-	// is set). Feed the copy back through Resume/ResumeRound to
-	// continue after an interruption. The callback runs on the
-	// orchestrating goroutine between rounds; it must not call back
-	// into the engines. RunAdaptive ignores it.
+	// Checkpoint, when non-nil, is invoked after every merged round
+	// with the number of completed rounds and a deep copy of the
+	// accumulated campaign (safe to retain and serialize; its
+	// Convergence holds the per-round trace when TrackConvergence is
+	// set). Feed the copy back through Resume/ResumeRound to continue
+	// after an interruption. The callback runs on the orchestrating
+	// goroutine between rounds; it must not call back into the engines.
 	Checkpoint func(rounds int64, total *Campaign)
 }
 
@@ -381,10 +282,12 @@ func DefaultAdaptive(eps float64) AdaptiveOptions {
 	}
 }
 
-// sanitize validates the stopping criterion and applies the defaults
-// RunAdaptive has always applied to the effort bounds.
+// sanitize validates the stopping criterion — unless the run is fixed
+// size, which never consults it — and applies the defaults of the
+// effort bounds.
 func (o *AdaptiveOptions) sanitize() error {
-	if o.Epsilon <= 0 || o.Risk <= 0 || o.Risk >= 1 {
+	fixed := o.MaxSamples > 0 && o.MinSamples == o.MaxSamples
+	if !fixed && (o.Epsilon <= 0 || o.Risk <= 0 || o.Risk >= 1) {
 		return fmt.Errorf("montecarlo: bad criterion eps=%v risk=%v", o.Epsilon, o.Risk)
 	}
 	if o.MinSamples < 1 {
@@ -399,15 +302,17 @@ func (o *AdaptiveOptions) sanitize() error {
 	return nil
 }
 
-// converged reports whether the accumulated campaign meets the
-// stopping criterion, evaluated on the campaign's active estimator:
-// for plain campaigns the bound is Est.LLNBound exactly (variance /
-// (N·eps²)); stratified and control-variate campaigns use their own
-// estimator variance, which is what converges faster.
-func (o *AdaptiveOptions) converged(total *Campaign) bool {
-	return total != nil &&
-		total.Est.N() >= o.MinSamples &&
-		total.llnBound(o.Epsilon) <= o.Risk
+// stop reports whether the accumulated campaign ends the run: the
+// budget is spent, or the stopping criterion holds on the campaign's
+// active estimator (for plain campaigns the bound is Est.LLNBound
+// exactly, variance/(N·eps²); stratified campaigns use their own
+// estimator variance, which is what converges faster).
+func (o *AdaptiveOptions) stop(total *Campaign) bool {
+	if total == nil {
+		return false
+	}
+	n := total.Est.N()
+	return n >= o.MaxSamples || n >= o.MinSamples && total.llnBound(o.Epsilon) <= o.Risk
 }
 
 // adapted re-tunes the sampler from the accumulated campaign between
@@ -429,94 +334,29 @@ func (o *AdaptiveOptions) adapted(s sampling.Sampler, total *Campaign) (sampling
 	})
 }
 
-// finish stamps the synthesized options of an adaptive campaign.
-func (o *AdaptiveOptions) finish(total *Campaign) *Campaign {
-	if total == nil {
-		return nil
-	}
-	total.Options.Seed = o.Seed
-	total.Options.Samples = total.Est.N()
-	return total
-}
-
-// RunAdaptive samples until the weak-LLN convergence bound the paper
-// quotes drops below the requested risk ("the whole process is continued
-// until the empirical estimate converges"), then returns the campaign.
-// Cancellation via ctx returns the partial campaign accumulated so far
-// alongside the context's error.
-func (e *Engine) RunAdaptive(ctx context.Context, sampler sampling.Sampler, opts AdaptiveOptions) (*Campaign, error) {
-	if e.golden == nil {
-		return nil, fmt.Errorf("montecarlo: RunAdaptive before RunGolden")
-	}
-	if err := opts.sanitize(); err != nil {
-		return nil, err
-	}
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, 0, 1)
-	var total *Campaign
-	cur := sampler
-	chunkIdx := int64(0)
-	for {
-		remaining := opts.MaxSamples
-		if total != nil {
-			remaining = opts.MaxSamples - total.Est.N()
-		}
-		if remaining <= 0 {
-			break
-		}
-		chunkN := opts.CheckEvery
-		if chunkN > remaining {
-			chunkN = remaining
-		}
-		chunk, err := e.runCampaign(ctx, cur, CampaignOptions{
-			Samples:          chunkN,
-			Mode:             opts.Mode,
-			Seed:             opts.Seed*999983 + chunkIdx,
-			TrackConvergence: opts.TrackConvergence,
-			TrackPatterns:    opts.TrackPatterns,
-			Batch:            opts.Batch,
-			BatchWindow:      opts.BatchWindow,
-			ControlVariate:   opts.ControlVariate,
-		}, agg, 0)
-		chunkIdx++
-		if total == nil {
-			total = chunk
-		} else if chunk != nil {
-			if merr := total.MergeSequential(chunk); merr != nil {
-				return opts.finish(total), merr
-			}
-		}
-		if err != nil {
-			return opts.finish(total), err
-		}
-		agg.rebase(0)
-		if opts.converged(total) {
-			break
-		}
-		next, aerr := opts.adapted(cur, total)
-		if aerr != nil {
-			return opts.finish(total), aerr
-		}
-		cur = next
-	}
-	return opts.finish(total), nil
-}
-
-// RunAdaptiveParallel composes the parallel and adaptive campaigns: it
-// runs chunked rounds across the engine pool (CheckEvery samples per
-// engine per round) and evaluates the weak-LLN stopping bound on the
-// merged estimator between rounds, so it stops within one round of the
-// criterion being met. Per-(round, shard) seeds are derived
-// deterministically and shards merge in index order, making the result
-// reproducible and independent of scheduling (it differs from the
-// sequential RunAdaptive with the same seed).
+// RunRounds is the campaign orchestrator. It runs rounds across the
+// engines — CheckEvery samples per engine per round, each engine's
+// share one RunCampaign shard with its own seed — merges every round's
+// shards in index order, and stops between rounds once the weak-LLN
+// bound the paper quotes drops below the risk ("the whole process is
+// continued until the empirical estimate converges") or MaxSamples is
+// spent. A fixed-size run sets MinSamples == MaxSamples; a serial run
+// passes one engine. Every engine must target the same design,
+// benchmark and attack and have completed its golden run.
+//
+// Shard seeds are Seed*1000003 + round*len(engines) + shard, so the
+// result is reproducible and independent of scheduling, but depends on
+// the number of engines. Samplers built by internal/sampling are safe
+// for concurrent Draw with distinct rngs.
 //
 // Cancellation returns the merged partial campaign alongside the
 // context's error. A panicking or failing shard surfaces as an indexed
-// error and ends the campaign, but the rounds accumulated before the
-// failing round are not discarded: the partial campaign is returned
-// alongside the error, exactly as on cancellation. (The failing round's
-// own shards are dropped — a half-merged round would not be resumable.)
-func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler sampling.Sampler, opts AdaptiveOptions) (*Campaign, error) {
+// error ("shard %d: ...") and ends the campaign, but the rounds
+// accumulated before the failing round are not discarded: the partial
+// campaign is returned alongside the error, exactly as on cancellation.
+// (The failing round's own shards are dropped — a half-merged round
+// would not be resumable.)
+func RunRounds(ctx context.Context, engines []*Engine, sampler sampling.Sampler, opts AdaptiveOptions) (*Campaign, error) {
 	if err := validateEngines(engines); err != nil {
 		return nil, err
 	}
@@ -524,57 +364,55 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		return nil, err
 	}
 	nE := len(engines)
-	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, 0, nE)
-	copts := CampaignOptions{
-		Mode:           opts.Mode,
-		Seed:           opts.Seed,
-		TrackPatterns:  opts.TrackPatterns,
-		Batch:          opts.Batch,
-		BatchWindow:    opts.BatchWindow,
-		ControlVariate: opts.ControlVariate,
-	}
+	copts := CampaignOptions{Mode: opts.Mode, Seed: opts.Seed, TrackPatterns: opts.TrackPatterns}
 	var total *Campaign
 	var conv []float64
-	cur := sampler
 	startRound := int64(0)
 	if opts.Resume != nil {
 		total = opts.Resume.Clone()
 		conv = total.Convergence
 		total.Convergence = nil
 		startRound = opts.ResumeRound
-		// Re-derive the proposal the uninterrupted run would be using at
-		// this round. Adapt is a pure function of the accumulated state
-		// (not of the receiver chain), so one application to the original
-		// sampler lands on the same proposal the round-by-round
-		// adaptations would have produced.
-		next, aerr := opts.adapted(cur, total)
-		if aerr != nil {
-			return opts.finish(total), aerr
-		}
-		cur = next
 	}
-	// finish restores the per-round convergence trace on every return
-	// path that carries a campaign (normal stop, cancellation, hard
-	// shard failure).
+	budget := 0
+	if opts.MinSamples == opts.MaxSamples {
+		budget = opts.MaxSamples
+		if total != nil {
+			budget -= total.Est.N()
+		}
+	}
+	agg := newProgressAgg(opts.Progress, opts.ProgressEvery, budget, nE)
+	// finish stamps the campaign-wide options and restores the
+	// per-round convergence trace on every return path that carries a
+	// campaign (normal stop, cancellation, hard shard failure).
 	finish := func() *Campaign {
-		if total != nil && opts.TrackConvergence {
+		if total == nil {
+			return nil
+		}
+		if opts.TrackConvergence {
 			total.Convergence = conv
 		}
-		return opts.finish(total)
+		total.Options.Seed = opts.Seed
+		total.Options.Samples = total.Est.N()
+		return total
 	}
-	for round := startRound; ; round++ {
+	cur := sampler
+	for round := startRound; !opts.stop(total); round++ {
 		done := 0
 		if total != nil {
+			// Re-tune the proposal from everything accumulated so far.
+			// Adapt is a pure function of the accumulated state (not of
+			// the receiver chain), so on a resumed run one application
+			// to the original sampler lands on the proposal the
+			// uninterrupted run's round-by-round adaptations produced.
+			next, aerr := opts.adapted(cur, total)
+			if aerr != nil {
+				return finish(), aerr
+			}
+			cur = next
 			done = total.Est.N()
 		}
-		remaining := opts.MaxSamples - done
-		if remaining <= 0 {
-			break
-		}
-		roundN := opts.CheckEvery * nE
-		if roundN > remaining {
-			roundN = remaining
-		}
+		roundN := min(opts.CheckEvery*nE, opts.MaxSamples-done)
 		shardOpts := shardCampaignOptions(nE, roundN, copts, round)
 		results, errs := runShards(ctx, engines, cur, shardOpts, agg)
 		roundTotal, err := mergeShards(ctx, results, errs)
@@ -591,7 +429,7 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		if err != nil {
 			return finish(), err
 		}
-		if opts.Checkpoint != nil && total != nil {
+		if opts.Checkpoint != nil {
 			snap := total.Clone()
 			if opts.TrackConvergence {
 				snap.Convergence = append([]float64(nil), conv...)
@@ -601,14 +439,6 @@ func RunAdaptiveParallel(ctx context.Context, engines []*Engine, sampler samplin
 		for i := range engines {
 			agg.rebase(i)
 		}
-		if opts.converged(total) {
-			break
-		}
-		next, aerr := opts.adapted(cur, total)
-		if aerr != nil {
-			return finish(), aerr
-		}
-		cur = next
 	}
 	return finish(), nil
 }

@@ -54,7 +54,8 @@ func TestParallelCampaignMatchesSequentialStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := montecarlo.CampaignOptions{Samples: 3000, Seed: 5}
-	par, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	pool := &core.EnginePool{Evaluation: ev, Engines: engines}
+	par, err := pool.Run(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestParallelCampaignMatchesSequentialStatistics(t *testing.T) {
 		t.Fatalf("parallel N = %d", par.Est.N())
 	}
 	// Reproducibility: same engines, same seed -> identical result.
-	par2, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	par2, err := pool.Run(context.Background(), ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +86,19 @@ func TestParallelCampaignMatchesSequentialStatistics(t *testing.T) {
 
 func TestParallelValidation(t *testing.T) {
 	ev := evaluation(t)
-	if _, err := montecarlo.RunCampaignParallel(context.Background(), nil, ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 10}); err == nil {
+	if _, err := montecarlo.RunRounds(context.Background(), nil, ev.RandomSampler(),
+		montecarlo.AdaptiveOptions{MinSamples: 10, MaxSamples: 10}); err == nil {
 		t.Error("no engines accepted")
 	}
 	engines, err := ev.CloneEngines(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 0}); err == nil {
+	pool := &core.EnginePool{Evaluation: ev, Engines: engines}
+	if _, err := pool.Run(context.Background(), ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 0}); err == nil {
 		t.Error("zero samples accepted")
 	}
-	if _, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(),
+	if _, err := pool.Run(context.Background(), ev.RandomSampler(),
 		montecarlo.CampaignOptions{Samples: 10, TrackConvergence: true}); err == nil {
 		t.Error("convergence tracking in parallel accepted")
 	}
@@ -108,7 +111,8 @@ func TestParallelUnevenSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 100 samples over 3 engines: 34+33+33.
-	c, err := montecarlo.RunCampaignParallel(context.Background(), engines, ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 100, Seed: 1})
+	pool := &core.EnginePool{Evaluation: ev, Engines: engines}
+	c, err := pool.Run(context.Background(), ev.RandomSampler(), montecarlo.CampaignOptions{Samples: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestRunAdaptiveStops(t *testing.T) {
 	opts.MinSamples = 500
 	opts.CheckEvery = 250
 	opts.MaxSamples = 20000
-	c, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), opts)
+	c, err := montecarlo.RunRounds(context.Background(), []*montecarlo.Engine{ev.Engine}, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +150,12 @@ func TestRunAdaptiveTighterCriterionNeedsMore(t *testing.T) {
 	loose.MinSamples, loose.CheckEvery, loose.MaxSamples = 200, 200, 30000
 	tight := loose
 	tight.Epsilon = 0.002
-	cl, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), loose)
+	engines := []*montecarlo.Engine{ev.Engine}
+	cl, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), loose)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), tight)
+	ct, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +166,18 @@ func TestRunAdaptiveTighterCriterionNeedsMore(t *testing.T) {
 
 func TestRunAdaptiveValidation(t *testing.T) {
 	ev := evaluation(t)
+	engines := []*montecarlo.Engine{ev.Engine}
 	bad := montecarlo.DefaultAdaptive(0)
-	if _, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), bad); err == nil {
+	if _, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), bad); err == nil {
 		t.Error("epsilon 0 accepted")
 	}
 	bad = montecarlo.DefaultAdaptive(0.01)
 	bad.Risk = 2
-	if _, err := ev.Engine.RunAdaptive(context.Background(), ev.RandomSampler(), bad); err == nil {
+	if _, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), bad); err == nil {
 		t.Error("risk 2 accepted")
+	}
+	if _, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), montecarlo.AdaptiveOptions{}); err == nil {
+		t.Error("zero options accepted")
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 type Progress struct {
 	// Done is the number of samples evaluated so far.
 	Done int
-	// Total is the requested sample count, or 0 when the campaign is
-	// open-ended (adaptive runs stop on the convergence bound).
+	// Total is the requested sample count (for a resumed run, the
+	// samples still to run), or 0 when the campaign is open-ended
+	// (adaptive runs stop on the convergence bound).
 	Total int
 	// SSF is the running importance-weighted estimate over everything
 	// evaluated so far.

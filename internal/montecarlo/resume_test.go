@@ -3,7 +3,6 @@ package montecarlo_test
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -53,7 +52,7 @@ func TestRunAdaptiveParallelPartialOnShardFailure(t *testing.T) {
 		CheckEvery: 100,
 		Seed:       21,
 	}
-	camp, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, sp, opts)
+	camp, err := montecarlo.RunRounds(context.Background(), engines, sp, opts)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("want shard panic error, got %v", err)
 	}
@@ -90,9 +89,6 @@ func TestMergeRejectsMismatchedSampler(t *testing.T) {
 	if c1.Est.State() != before {
 		t.Error("failed Merge mutated the receiver")
 	}
-	if err := c1.MergeSequential(c2); err == nil {
-		t.Fatal("MergeSequential accepted campaigns from different samplers")
-	}
 }
 
 func TestMergeRejectsMismatchedMode(t *testing.T) {
@@ -109,48 +105,6 @@ func TestMergeRejectsMismatchedMode(t *testing.T) {
 	}
 	if err := c1.Merge(c2); err == nil {
 		t.Fatal("Merge accepted campaigns from different attack modes")
-	}
-}
-
-// MergeSequential's trace replay must stay consistent with the direct
-// weighted union when importance weights are non-unit: every appended
-// entry is the running weighted mean of the concatenated term sequence.
-func TestMergeSequentialImportanceWeights(t *testing.T) {
-	ev := evaluation(t)
-	im, err := ev.ImportanceSampler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := ev.Engine.RunCampaign(context.Background(), im,
-		montecarlo.CampaignOptions{Samples: 300, Seed: 1, TrackConvergence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ev.Engine.RunCampaign(context.Background(), im,
-		montecarlo.CampaignOptions{Samples: 200, Seed: 2, TrackConvergence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Independent reference: the weighted term sums recovered from the
-	// chunks' own running means. sum1 and each prefix sum of chunk 2
-	// give the expected concatenated running means directly.
-	sum1 := c1.SSF() * 300
-	trace2 := append([]float64(nil), c2.Convergence...)
-	if err := c1.MergeSequential(c2); err != nil {
-		t.Fatal(err)
-	}
-	if c1.Est.N() != 500 || len(c1.Convergence) != 500 {
-		t.Fatalf("merged N=%d trace=%d", c1.Est.N(), len(c1.Convergence))
-	}
-	for k, m2 := range trace2 {
-		want := (sum1 + m2*float64(k+1)) / float64(300+k+1)
-		got := c1.Convergence[300+k]
-		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
-			t.Fatalf("merged trace entry %d = %v, want %v", 300+k, got, want)
-		}
-	}
-	if got, want := c1.Convergence[499], c1.SSF(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("trace ends at %v, merged SSF is %v", got, want)
 	}
 }
 
@@ -240,7 +194,7 @@ func TestRunAdaptiveParallelResumeBitIdentical(t *testing.T) {
 		}
 		cps = append(cps, cp{rounds: rounds, data: data})
 	}
-	full, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	full, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +209,7 @@ func TestRunAdaptiveParallelResumeBitIdentical(t *testing.T) {
 	opts.Checkpoint = nil
 	opts.Resume = snap.Campaign()
 	opts.ResumeRound = cps[0].rounds
-	resumed, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, ev.RandomSampler(), opts)
+	resumed, err := montecarlo.RunRounds(context.Background(), engines, ev.RandomSampler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

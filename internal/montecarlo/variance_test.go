@@ -3,7 +3,6 @@ package montecarlo_test
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 
@@ -40,13 +39,11 @@ func TestStratifiedCampaignScalarBatchedIdentical(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	sp := varianceStratified(t, ev)
 	opts := montecarlo.CampaignOptions{Samples: 2500, Seed: 5, TrackConvergence: true}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
+	scalar, err := ev.Engine.RunCampaignScalar(sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
-	opts.BatchWindow = 600 // partial final window
-	batched, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
+	batched, err := ev.Engine.RunCampaign(context.Background(), sp, opts) // one full window, one partial
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +83,10 @@ func TestSobolCampaignScalarBatchedIdentical(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	sp := sampling.NewSobol(varianceImportance(t, ev))
 	opts := montecarlo.CampaignOptions{Samples: 2500, Seed: 5, TrackConvergence: true}
-	scalar, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
+	scalar, err := ev.Engine.RunCampaignScalar(sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Batch = true
-	opts.BatchWindow = 600
 	batched, err := ev.Engine.RunCampaign(context.Background(), sp, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -165,56 +160,9 @@ func TestStratifiedDisjointForkMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestControlVariateCampaign: the control variate leaves the underlying
-// draw sequence untouched (the plain estimator stays bit-identical to
-// the non-CV run), its exact mean matches the empirical mean of the
-// control under the nominal sampler, and unsupported samplers are
-// rejected.
-func TestControlVariateCampaign(t *testing.T) {
-	// The default attack spec, not the concentrated one: the control's
-	// exact mean is strictly positive there, so the comparison has
-	// teeth (a degenerate control would reduce to the plain mean).
-	ev := evaluation(t)
-	ctx := context.Background()
-	opts := montecarlo.CampaignOptions{Samples: 8000, Seed: 3}
-	plain, err := ev.Engine.RunCampaign(ctx, ev.RandomSampler(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.ControlVariate = true
-	cv, err := ev.Engine.RunCampaign(ctx, ev.RandomSampler(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cv.CV == nil {
-		t.Fatal("campaign did not track the control variate")
-	}
-	if cv.Est.State() != plain.Est.State() {
-		t.Error("control variate perturbed the draw sequence")
-	}
-	if cv.CVMean <= 0 || cv.CVMean > 1 {
-		t.Fatalf("exact control mean %v outside (0, 1]", cv.CVMean)
-	}
-	// Under the nominal sampler (weights 1) the empirical control mean
-	// is an unbiased estimate of the exact enumerated mean.
-	meanC := cv.CV.MeanC()
-	tol := 6*math.Sqrt(cv.CV.VarC()/float64(cv.CV.N())) + 1e-12
-	if math.Abs(meanC-cv.CVMean) > tol {
-		t.Errorf("empirical control mean %v, exact %v (tol %v)", meanC, cv.CVMean, tol)
-	}
-	if math.IsNaN(cv.SSF()) || math.IsInf(cv.SSF(), 0) {
-		t.Errorf("adjusted SSF %v", cv.SSF())
-	}
-
-	// Restricted-support samplers would bias E_g[w*phi]; rejected.
-	if _, err := ev.Engine.RunCampaign(ctx, varianceStratified(t, ev), opts); err == nil {
-		t.Error("control variate accepted a restricted-support sampler")
-	}
-}
-
 // TestVarianceStateSnapshotRoundTrip: the new campaign state — strata,
-// weight moments, tallies, control variate — survives Snapshot → JSON →
-// Campaign → Snapshot bit-identically.
+// weight moments, tallies — survives Snapshot → JSON → Campaign →
+// Snapshot bit-identically.
 func TestVarianceStateSnapshotRoundTrip(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	ctx := context.Background()
@@ -223,12 +171,12 @@ func TestVarianceStateSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := ev.Engine.RunCampaign(ctx, ev.RandomSampler(),
-		montecarlo.CampaignOptions{Samples: 1500, Seed: 4, ControlVariate: true})
+	plain, err := ev.Engine.RunCampaign(ctx, ev.RandomSampler(),
+		montecarlo.CampaignOptions{Samples: 1500, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]*montecarlo.Campaign{"stratified": strat, "cv": cv} {
+	for name, c := range map[string]*montecarlo.Campaign{"stratified": strat, "plain": plain} {
 		snap := c.Snapshot()
 		if err := snap.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -259,14 +207,10 @@ func TestVarianceStateSnapshotRoundTrip(t *testing.T) {
 	if strat.Snapshot().Strata == nil {
 		t.Error("stratified snapshot lost per-stratum state")
 	}
-	if cvSnap := cv.Snapshot(); cvSnap.CV == nil || cvSnap.CVMean != cv.CVMean || !cvSnap.ControlVar {
-		t.Error("cv snapshot lost control-variate state")
-	}
 }
 
 // TestMergeRejectsMismatchedVarianceState: merging stratified into
-// unstratified (or across control means) must fail without mutating the
-// receiver.
+// unstratified must fail without mutating the receiver.
 func TestMergeRejectsMismatchedVarianceState(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	ctx := context.Background()
@@ -277,24 +221,12 @@ func TestMergeRejectsMismatchedVarianceState(t *testing.T) {
 	}
 	bare := c.Clone()
 	bare.Strata = nil
-	if err := c.Clone().Merge(bare); err == nil {
+	recv := c.Clone()
+	before := recv.Est.State()
+	if err := recv.Merge(bare); err == nil {
 		t.Error("stratified merged with unstratified")
 	}
-
-	evCV := evaluation(t)
-	cv, err := evCV.Engine.RunCampaign(ctx, evCV.RandomSampler(),
-		montecarlo.CampaignOptions{Samples: 600, Seed: 2, ControlVariate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := cv.Clone()
-	other.CVMean += 0.5
-	recv := cv.Clone()
-	before := recv.CV.MeanC()
-	if err := recv.Merge(other); err == nil {
-		t.Error("merged across control means")
-	}
-	if recv.CV.MeanC() != before {
+	if recv.Est.State() != before {
 		t.Error("failed merge mutated the receiver")
 	}
 }
@@ -330,7 +262,7 @@ func TestStratifiedAdaptResumeBitIdentical(t *testing.T) {
 		}
 		checkpoints = append(checkpoints, data)
 	}
-	full, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, sp, opts)
+	full, err := montecarlo.RunRounds(context.Background(), engines, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +282,7 @@ func TestStratifiedAdaptResumeBitIdentical(t *testing.T) {
 	opts.Checkpoint = nil
 	opts.Resume = snap.Campaign()
 	opts.ResumeRound = 1
-	resumed, err := montecarlo.RunAdaptiveParallel(context.Background(), engines, sp, opts)
+	resumed, err := montecarlo.RunRounds(context.Background(), engines, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +303,9 @@ func TestStratifiedAdaptResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAdaptiveProposalSequentialReproducible: the chunked sequential
-// adaptive run with proposal re-tuning is a pure function of its
-// options — two runs agree bit-for-bit.
+// TestAdaptiveProposalSequentialReproducible: the one-engine round run
+// with proposal re-tuning is a pure function of its options — two runs
+// agree bit-for-bit.
 func TestAdaptiveProposalSequentialReproducible(t *testing.T) {
 	ev := concentratedEvaluation(t)
 	sp := varianceStratified(t, ev)
@@ -386,11 +318,12 @@ func TestAdaptiveProposalSequentialReproducible(t *testing.T) {
 		Seed:          6,
 		AdaptProposal: true,
 	}
-	a, err := ev.Engine.RunAdaptive(context.Background(), sp, opts)
+	engines := []*montecarlo.Engine{ev.Engine}
+	a, err := montecarlo.RunRounds(context.Background(), engines, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ev.Engine.RunAdaptive(context.Background(), sp, opts)
+	b, err := montecarlo.RunRounds(context.Background(), engines, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,8 @@ type JobRequest struct {
 	// Seed makes the job reproducible; the per-(round, shard) seeds of
 	// the worker pool are derived from it deterministically.
 	Seed int64 `json:"seed"`
-	// Batch enables the lane-batched execution path.
+	// Batch is ignored: every campaign runs the lane-batched path. The
+	// field remains so that clients which still send it keep working.
 	Batch bool `json:"batch,omitempty"`
 	// CheckEvery is the per-engine round size (default 500): the
 	// convergence bound, progress rebase, and checkpoints happen on
@@ -92,7 +93,7 @@ func (r *JobRequest) normalize(maxSamples int) error {
 }
 
 // adaptiveOptions translates the request into the engine's options.
-// Fixed-size jobs run through the same round-based adaptive machinery
+// Fixed-size jobs run through the same round orchestrator
 // (MinSamples = MaxSamples = Samples pins the total exactly) so every
 // job checkpoints and resumes uniformly.
 func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
@@ -100,7 +101,6 @@ func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
 	o := montecarlo.AdaptiveOptions{
 		Mode:             mode,
 		Seed:             r.Seed,
-		Batch:            r.Batch,
 		TrackConvergence: r.TrackConvergence,
 		CheckEvery:       r.CheckEvery,
 	}
@@ -108,11 +108,8 @@ func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
 		o.CheckEvery = 500
 	}
 	if r.Samples > 0 {
-		// Fixed size: the bound can never stop the run before
-		// MinSamples == the requested count, and MaxSamples stops it
-		// exactly there.
-		o.Epsilon = 1
-		o.Risk = 0.5
+		// Fixed size: the run stops exactly at the requested count and
+		// never consults the stopping bound.
 		o.MinSamples = r.Samples
 		o.MaxSamples = r.Samples
 		return o
@@ -133,7 +130,7 @@ func (r JobRequest) adaptiveOptions() montecarlo.AdaptiveOptions {
 // JobResult is the completed campaign, as served to clients.
 type JobResult struct {
 	// SSF, StdErr, and CIHalfWidth all come from the campaign's
-	// active estimator (stratified or control-variate when in use);
+	// active estimator (stratified when in use);
 	// CIHalfWidth is Z95·StdErr. Variance is the per-term variance of
 	// the plain weighted estimator.
 	SSF         float64   `json:"ssf"`

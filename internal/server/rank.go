@@ -20,11 +20,12 @@ import (
 type RankRequest struct {
 	// Samples per campaign (base + one per variant).
 	Samples int `json:"samples"`
-	// Sampler, Mode, Seed, Batch as in JobRequest.
+	// Sampler, Mode, Seed as in JobRequest.
 	Sampler string `json:"sampler,omitempty"`
 	Mode    string `json:"mode,omitempty"`
 	Seed    int64  `json:"seed"`
-	Batch   bool   `json:"batch,omitempty"`
+	// Batch is ignored, as in JobRequest.
+	Batch bool `json:"batch,omitempty"`
 	// Variants are the hardening plans to rank.
 	Variants []RankVariant `json:"variants"`
 }
@@ -177,12 +178,11 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		Samples: req.Samples,
 		Mode:    mode,
 		Seed:    req.Seed,
-		Batch:   req.Batch,
 	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 
-	base, err := montecarlo.RunCampaignParallel(ctx, s.pool.Engines, sp, copts)
+	base, err := s.pool.Run(ctx, sp, copts)
 	if err != nil {
 		return nil, fmt.Errorf("base campaign: %w", err)
 	}
@@ -219,7 +219,7 @@ func (s *Server) rank(ctx context.Context, req RankRequest) (*RankResponse, erro
 		for _, eng := range s.pool.Engines {
 			restores = append(restores, plan.Apply(eng))
 		}
-		hard, err := montecarlo.RunCampaignParallel(ctx, s.pool.Engines, sp, copts)
+		hard, err := s.pool.Run(ctx, sp, copts)
 		for i := len(restores) - 1; i >= 0; i-- {
 			restores[i]()
 		}

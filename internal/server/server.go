@@ -233,12 +233,18 @@ func (s *Server) sampler(name string) (sampling.Sampler, error) {
 	return sp, nil
 }
 
-// submit registers and enqueues a new job. A full queue reports
-// backpressure via errQueueFull.
-func (s *Server) submit(tenant string, req JobRequest) (*Job, error) {
+// submit registers and enqueues a new job and returns it with its
+// status as queued. The record is persisted, and the status captured,
+// before the job is on the queue: once it is, the worker may run it and
+// save newer records at any time. A full queue reports backpressure via
+// errQueueFull and leaves no record behind.
+func (s *Server) submit(tenant string, req JobRequest) (*Job, JobStatus, error) {
 	id, err := newID()
 	if err != nil {
-		return nil, err
+		return nil, JobStatus{}, err
+	}
+	if len(s.queue) == cap(s.queue) {
+		return nil, JobStatus{}, errQueueFull
 	}
 	j := newJob(jobRecord{
 		ID:          id,
@@ -247,19 +253,24 @@ func (s *Server) submit(tenant string, req JobRequest) (*Job, error) {
 		State:       StateQueued,
 		SubmittedAt: time.Now().UTC(),
 	})
+	if err := s.store.Save(j.snapshotRecord()); err != nil {
+		s.cfg.Logf("server: persist %s: %v", id, err)
+	}
+	st := j.status()
 	s.mu.Lock()
 	select {
 	case s.queue <- j:
 		s.jobs[id] = j
 		s.mu.Unlock()
+		return j, st, nil
 	default:
+		// The queue filled up after the check above.
 		s.mu.Unlock()
-		return nil, errQueueFull
+		if err := s.store.Remove(id); err != nil {
+			s.cfg.Logf("server: remove rejected %s: %v", id, err)
+		}
+		return nil, JobStatus{}, errQueueFull
 	}
-	if err := s.store.Save(j.snapshotRecord()); err != nil {
-		s.cfg.Logf("server: persist %s: %v", id, err)
-	}
-	return j, nil
 }
 
 var errQueueFull = errors.New("server: job queue full")
@@ -334,10 +345,13 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 			ElapsedMS:  p.Elapsed.Milliseconds(),
 		}
 		j.mu.Lock()
-		// Progress counts restart at zero on resume; fold in the
-		// checkpointed samples so clients see monotonic totals.
+		// Progress counts only this run's samples; fold in the
+		// checkpointed ones so clients see monotonic totals.
 		if rec.Checkpoint != nil {
 			ev.Done += rec.Checkpoint.Est.N
+			if ev.Total > 0 {
+				ev.Total += rec.Checkpoint.Est.N
+			}
 		}
 		j.progress = ev
 		hub := j.hub
@@ -360,7 +374,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}
 
 	s.poolMu.Lock()
-	camp, err := montecarlo.RunAdaptiveParallel(jctx, s.pool.Engines, sp, aopts)
+	camp, err := s.pool.RunAdaptive(jctx, sp, aopts)
 	s.poolMu.Unlock()
 
 	if err != nil && errors.Is(err, context.Canceled) {

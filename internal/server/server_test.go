@@ -104,7 +104,7 @@ func TestJobRequestNormalize(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", r)
 	}
 	o := r.adaptiveOptions()
-	if o.MinSamples != 100 || o.MaxSamples != 100 || o.Epsilon != 1 || o.Risk != 0.5 {
+	if o.MinSamples != 100 || o.MaxSamples != 100 {
 		t.Errorf("fixed-size job not pinned: %+v", o)
 	}
 	if o.CheckEvery != 500 {
@@ -418,7 +418,7 @@ func TestJobLifecycleAndSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.poolMu.Lock()
-	ref, err := montecarlo.RunAdaptiveParallel(context.Background(),
+	ref, err := montecarlo.RunRounds(context.Background(),
 		srv.pool.Engines, srv.pool.Evaluation.RandomSampler(), norm.adaptiveOptions())
 	srv.poolMu.Unlock()
 	if err != nil {
@@ -455,7 +455,7 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	if err := req.normalize(srv.cfg.MaxSamples); err != nil {
 		t.Fatal(err)
 	}
-	j, err := srv.submit("default", req)
+	j, _, err := srv.submit("default", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	}
 	got := j2.snapshotRecord().Result
 
-	ref, err := montecarlo.RunAdaptiveParallel(context.Background(),
+	ref, err := montecarlo.RunRounds(context.Background(),
 		p.Engines, p.Evaluation.RandomSampler(), req.adaptiveOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -522,6 +522,10 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	}
 	if got.ClassCounts != ref.ClassCounts || got.PathCounts != ref.PathCounts {
 		t.Error("resumed histograms differ from the uninterrupted run")
+	}
+	// Progress folds the checkpointed samples into both counts.
+	if pr := j2.status().Progress; pr == nil || pr.Done != req.Samples || pr.Total != req.Samples {
+		t.Errorf("resumed job's last progress %+v, want done = total = %d", pr, req.Samples)
 	}
 }
 
@@ -543,7 +547,7 @@ func TestStratifiedRestartResumeBitIdentical(t *testing.T) {
 	if err := req.normalize(srv.cfg.MaxSamples); err != nil {
 		t.Fatal(err)
 	}
-	j, err := srv.submit("default", req)
+	j, _, err := srv.submit("default", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +600,7 @@ func TestStratifiedRestartResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := montecarlo.RunAdaptiveParallel(context.Background(),
+	ref, err := montecarlo.RunRounds(context.Background(),
 		p.Engines, sp, req.adaptiveOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -626,7 +630,7 @@ func TestStratifiedResultStdErrMatchesCI(t *testing.T) {
 	if err := req.normalize(srv.cfg.MaxSamples); err != nil {
 		t.Fatal(err)
 	}
-	j, err := srv.submit("default", req)
+	j, _, err := srv.submit("default", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -767,7 +771,7 @@ func TestStartShutdownRestart(t *testing.T) {
 	if err := req.normalize(srv.cfg.MaxSamples); err != nil {
 		t.Fatal(err)
 	}
-	j, err := srv.submit("default", req)
+	j, _, err := srv.submit("default", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,5 +784,161 @@ func TestStartShutdownRestart(t *testing.T) {
 			t.Fatalf("job failed: %s", j.snapshotRecord().Error)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// waitDone polls until the job is done, failing the test if it fails
+// or stalls.
+func waitDone(t *testing.T, j *Job) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for j.state() != StateDone {
+		if time.Now().After(deadline) || j.state() == StateFailed {
+			t.Fatalf("job stuck in %s: %s", j.state(), j.snapshotRecord().Error)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFixedJobProgressTotal: a fixed-size job streams its budget as the
+// progress total, so its last progress event reads done = total =
+// samples.
+func TestFixedJobProgressTotal(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	srv.Start()
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req := JobRequest{Samples: 600, CheckEvery: 100, Sampler: "random", Seed: 8}
+	if err := req.normalize(srv.cfg.MaxSamples); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := srv.submit("default", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	// A subscriber to a finished job is replayed the last progress
+	// event, then the terminal one.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + j.status().ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, bufio.NewReader(resp.Body))
+	resp.Body.Close()
+	if len(events) != 2 || events[0].name != "progress" {
+		t.Fatalf("events of a finished job: %+v", events)
+	}
+	var last ProgressEvent
+	if err := json.Unmarshal([]byte(events[0].data), &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.Done != req.Samples || last.Total != req.Samples {
+		t.Errorf("last progress done %d total %d, want %d", last.Done, last.Total, req.Samples)
+	}
+}
+
+// TestLegacyRecordResumes: a job record written before the batch and
+// control-variate options were retired still loads, and its checkpoint
+// — carrying the retired batch, batch_window, control_variate, cv and
+// cv_mean fields — passes Validate and resumes bit-identically.
+func TestLegacyRecordResumes(t *testing.T) {
+	p := enginePool(t)
+	req := JobRequest{Samples: 1200, CheckEvery: 100, Sampler: "random", Seed: 17, Batch: true}
+	if err := req.normalize(1 << 22); err != nil {
+		t.Fatal(err)
+	}
+	opts := req.adaptiveOptions()
+	var cp []byte
+	opts.Checkpoint = func(rounds int64, total *montecarlo.Campaign) {
+		if rounds == 2 {
+			data, err := json.Marshal(total.Snapshot())
+			if err != nil {
+				t.Error(err)
+			}
+			cp = data
+		}
+	}
+	ref, err := montecarlo.RunRounds(context.Background(), p.Engines, p.Evaluation.RandomSampler(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var legacyCP map[string]any
+	if err := json.Unmarshal(cp, &legacyCP); err != nil {
+		t.Fatal(err)
+	}
+	legacyCP["batch"] = true
+	legacyCP["batch_window"] = 700
+	legacyCP["control_variate"] = true
+	legacyCP["cv"] = map[string]any{"n": 400, "mean_y": 0.001, "mean_c": 0.2, "m2_y": 0.3, "m2_c": 4.5, "m11": 0.06}
+	legacyCP["cv_mean"] = 0.21
+	now := time.Now().UTC()
+	rec := map[string]any{
+		"id": "0123456789ab", "tenant": "default", "request": req, "state": StateRunning,
+		"submitted_at": now, "started_at": now, "rounds": 2, "checkpoint": legacyCP,
+	}
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Checkpoint montecarlo.CampaignSnapshot `json:"checkpoint"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Checkpoint.Validate(); err != nil {
+		t.Fatalf("legacy checkpoint fails Validate: %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "job-0123456789ab.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(p, dir, Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, ok := srv.job("0123456789ab")
+	if !ok || j.state() != StateQueued || j.snapshotRecord().Checkpoint == nil {
+		t.Fatal("legacy record not re-queued with its checkpoint")
+	}
+	srv.Start()
+	defer srv.Shutdown()
+	waitDone(t, j)
+	got := j.snapshotRecord().Result
+	if got.SSF != ref.SSF() || got.Samples != ref.Est.N() || got.Successes != ref.Successes ||
+		got.Variance != ref.Variance() || got.PathCounts != ref.PathCounts {
+		t.Fatalf("resumed legacy job %+v; uninterrupted SSF %v N %d", got, ref.SSF(), ref.Est.N())
+	}
+	// The run started from the checkpoint: progress counts the 800
+	// resumed samples plus the 400 checkpointed ones, not 1200 + 400.
+	if pr := j.status().Progress; pr == nil || pr.Done != req.Samples || pr.Total != req.Samples {
+		t.Errorf("last progress %+v, want done = total = %d", pr, req.Samples)
+	}
+}
+
+// TestRetiredBatchFieldAccepted: request bodies that still set the
+// retired "batch" option are accepted by /v1/jobs and /v1/rank.
+func TestRetiredBatchFieldAccepted(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/jobs", `{"samples": 100, "sampler": "random", "batch": true}`, http.StatusAccepted},
+		{"/v1/rank", `{"samples": 100, "sampler": "random", "seed": 2, "batch": true, "variants": [{"name": "top1", "top_n": 1}]}`, http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", c.path, resp.StatusCode, c.want)
+		}
 	}
 }

@@ -56,6 +56,15 @@ func (s *Store) Save(rec jobRecord) error {
 	return nil
 }
 
+// Remove deletes a job's record; a record that does not exist is not
+// an error.
+func (s *Store) Remove(id string) error {
+	if err := os.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("server: store: %w", err)
+	}
+	return nil
+}
+
 // Load reads every job record, sorted by submission time then ID so
 // restart recovery re-queues jobs in their original order. Unreadable
 // files are skipped (reported in errs) rather than failing the whole
