@@ -44,11 +44,13 @@ lint:
 	else echo "lint: govulncheck not installed, skipping"; fi
 
 # fuzz-smoke gives the fuzz targets a short budget each: enough to
-# catch parser or evaluator-equivalence regressions without stalling CI.
+# catch parser, evaluator-equivalence or latch-bound soundness
+# regressions without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/netlist/ -fuzz FuzzNetlistDeserialize -fuzztime=20s
 	$(GO) test ./internal/logicsim/ -run '^FuzzPlanEquivalence$$' -fuzz '^FuzzPlanEquivalence$$' -fuzztime=20s
 	$(GO) test ./internal/logicsim/codegen/ -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime=20s
+	$(GO) test ./internal/timingsim/ -run '^FuzzLatchBoundSound$$' -fuzz '^FuzzLatchBoundSound$$' -fuzztime=20s
 
 # bench regenerates the committed perf records: BENCH_runonce.json (the
 # per-run hot path: ns/op + allocs/op for RunOnce, GateInjection,

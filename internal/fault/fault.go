@@ -174,15 +174,6 @@ func (a *Attack) TProb(t int) float64 {
 	return 1 / float64(a.TRange)
 }
 
-// CenterIndex returns the candidate index of a center gate, and
-// whether the gate is a candidate at all. Lookup tables indexed by
-// candidate position (e.g. the control-variate table) use it to map a
-// drawn center back to its slot.
-func (a *Attack) CenterIndex(center netlist.NodeID) (int, bool) {
-	i, ok := a.centerIdx[center]
-	return i, ok
-}
-
 // CenterProb returns f_P's mass on the given center gate.
 func (a *Attack) CenterProb(center netlist.NodeID) float64 {
 	i, ok := a.centerIdx[center]

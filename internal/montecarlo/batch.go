@@ -53,6 +53,10 @@ type batchState struct {
 	// values during cycle c (injection cycles only, c <= TargetCycle) —
 	// exactly what a scalar StepInject would hand the inject callback.
 	comb [][]uint64
+	// bounds[c-lo] is the timed sweep's latch bound for injection cycle
+	// c, parallel to comb: a gate strike it rejects latches nothing, so
+	// evalSample skips its sweep.
+	bounds []*timingsim.LatchBound
 	// regIndex maps a register node to its position in RegState order.
 	regIndex map[netlist.NodeID]int
 	sim      *logicsim.Simulator
@@ -69,7 +73,7 @@ type pendingResume struct {
 
 // ensureBatchState records the golden attack window once: register
 // state per cycle plus the post-Eval value bitsets the gate-level
-// injection consumes.
+// injection consumes, and the latch bound of each injection cycle.
 func (e *Engine) ensureBatchState() *batchState {
 	if e.batch != nil {
 		return e.batch
@@ -111,6 +115,7 @@ func (e *Engine) ensureBatchState() *batchState {
 			e.SoC.Step()
 		}
 	}
+	b.bounds = e.Timing.LatchBounds(b.comb[:g.TargetCycle-lo+1])
 	b.sim = e.SoC.Sim.Fork()
 	b.loadBuf = make([]uint64, len(regs))
 	e.batch = b
@@ -148,8 +153,12 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode) (res
 		if len(gates) > 0 {
 			var strike timingsim.Strike
 			strike, e.strikeWidths = e.Attack.StrikeFrom(sample, gates, dists, e.strikeWidths)
-			injected := e.Timing.InjectBits(b.comb[te-b.lo], strike)
-			flips = e.applyHardening(rng, injected.FlippedRegs)
+			// A strike the bound rejects flips nothing, and hardening
+			// draws only for flips, so skipping both keeps rng parity.
+			if b.bounds[te-b.lo].MayLatch(strike) {
+				injected := e.Timing.InjectBits(b.comb[te-b.lo], strike)
+				flips = e.applyHardening(rng, injected.FlippedRegs)
+			}
 		}
 	case RegisterAttack:
 		flips = e.applyHardening(rng, e.spotIndex().DFFWithin(sample.Center, sample.Radius))

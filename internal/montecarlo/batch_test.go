@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/montecarlo"
+	"repro/internal/netlist"
 )
 
 // concentratedEvaluation aims the whole candidate set at the
@@ -291,4 +292,68 @@ func TestBatchParallelAndAdaptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("rounds", batchedA, scalarRounds(13, [][]int{{500}, {500}, {500}, {300}}))
+}
+
+// TestBatchHardenedEquivalence checks the batched loop stays bit-identical
+// to the scalar oracle with partial hardening: every hardened flip
+// draws from the campaign rng, so a strike the batched path skips (by
+// the latch bound) must not shift those draws. Covered for importance
+// sampling under the default attack and for the concentrated attack,
+// where most strikes latch.
+func TestBatchHardenedEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ev   *core.Evaluation
+	}{
+		{"default", evaluation(t)},
+		{"concentrated", concentratedEvaluation(t)},
+	} {
+		eng := tc.ev.Engine
+		hardened := map[netlist.NodeID]float64{}
+		for i, r := range eng.SoC.MPU.Netlist.Regs() {
+			if i%2 == 0 {
+				hardened[r] = 2
+			}
+		}
+		eng.Hardened = hardened
+		sampler, err := tc.ev.ImportanceSampler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := montecarlo.CampaignOptions{Samples: 3000, Seed: 8, TrackConvergence: true}
+		scalar, err := eng.RunCampaignScalar(sampler, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batched, err := eng.RunCampaign(context.Background(), sampler, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareCampaigns(t, tc.name, batched, scalar)
+		if scalar.ClassCounts[montecarlo.Masked] == opts.Samples {
+			t.Errorf("%s: every sample masked — no hardening draw was exercised", tc.name)
+		}
+	}
+}
+
+// TestLatchBoundPruneRate guards the batched path's latch bound on the
+// bundled MPU: of 10k fixed-seed importance-sampler strikes under the
+// default attack, it must reject at least 55% (it rejects about 64%
+// here) — a bound weakened towards "always may latch" would pass
+// every bit-identity suite — and none it rejects may latch under a full
+// timed sweep.
+func TestLatchBoundPruneRate(t *testing.T) {
+	ev := evaluation(t)
+	sampler, err := ev.ImportanceSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	strikes, rejected, unsound := ev.Engine.LatchBoundRejections(sampler, 10000, 1)
+	t.Logf("%d strikes, %d rejected (%.1f%%)", strikes, rejected, 100*float64(rejected)/float64(strikes))
+	if unsound > 0 {
+		t.Fatalf("%d rejected strikes latched under InjectBits", unsound)
+	}
+	if strikes < 5000 || float64(rejected) < 0.55*float64(strikes) {
+		t.Fatalf("bound rejected %d of %d strikes, want at least 55%%", rejected, strikes)
+	}
 }

@@ -154,10 +154,10 @@ func TestSparseMatchesReferenceSweep(t *testing.T) {
 }
 
 // TestForkSharedConeCacheRace runs forked simulators concurrently over
-// the same design with overlapping strikes, so the shared cone-schedule
-// cache is built and read from multiple goroutines (run under -race),
-// then checks every fork produced the same results as a fresh serial
-// simulator fed the same sequence.
+// the same design with overlapping strikes, so the tables Fork shares
+// are read from multiple goroutines (run under -race), then checks
+// every fork produced the same results as a fresh serial simulator fed
+// the same sequence.
 func TestForkSharedConeCacheRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nl := buildRandomDesign(rng)

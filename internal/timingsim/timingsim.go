@@ -15,11 +15,14 @@
 // fanout cone of the struck gates, so Inject drives a worklist bitset
 // indexed by topological position instead of walking the whole
 // netlist, resets only the nodes the previous run touched, and stops
-// as soon as every surviving waveform has been swept past.
+// as soon as every surviving waveform has been swept past. Callers that
+// sweep many strikes over the same cycle can first ask a LatchBound,
+// which proves most masked strikes masked without any sweep.
 package timingsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -76,6 +79,47 @@ func DefaultDelayModel() DelayModel {
 	}
 }
 
+// validate rejects delay models the sweep cannot evaluate faithfully: a
+// non-positive or non-finite clock period, a non-finite window or
+// masking parameter, a negative MinPulse (which would let a waveform
+// carry intervals that end before they start), and a missing,
+// negative or non-finite delay for any gate type nl uses.
+func (dm DelayModel) validate(nl *netlist.Netlist) error {
+	if !(dm.ClockPeriod > 0) || math.IsInf(dm.ClockPeriod, 1) {
+		return fmt.Errorf("timingsim: clock period %v is not positive and finite", dm.ClockPeriod)
+	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"Setup", dm.Setup}, {"Hold", dm.Hold}, {"Attenuation", dm.Attenuation},
+		{"MinPulse", dm.MinPulse}, {"GatedWindowFactor", dm.GatedWindowFactor},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("timingsim: %s %v is not finite", p.name, p.v)
+		}
+	}
+	if dm.MinPulse < 0 {
+		return fmt.Errorf("timingsim: negative MinPulse %v", dm.MinPulse)
+	}
+	var checked [256]bool
+	for i := 0; i < nl.NumNodes(); i++ {
+		t := nl.Node(netlist.NodeID(i)).Type
+		if checked[t] || !t.IsCombinational() || t == netlist.Const0 || t == netlist.Const1 {
+			continue
+		}
+		checked[t] = true
+		d, ok := dm.CellDelay[t]
+		if !ok {
+			return fmt.Errorf("timingsim: no delay for cell type %v", t)
+		}
+		if !(d >= 0) || math.IsInf(d, 1) {
+			return fmt.Errorf("timingsim: delay %v for cell type %v is not non-negative and finite", d, t)
+		}
+	}
+	return nil
+}
+
 // Interval is a half-open time span [Start, End) during which a net is
 // inverted relative to its fault-free value.
 type Interval struct {
@@ -121,8 +165,7 @@ type Result struct {
 
 // Simulator performs timed injection-cycle evaluation over a fixed
 // netlist. It is not safe for concurrent use; Fork one per goroutine
-// (forks share the immutable topology tables and the cone-schedule
-// cache).
+// (forks share the immutable topology and delay tables).
 type Simulator struct {
 	nl    *netlist.Netlist
 	dm    DelayModel
@@ -135,6 +178,10 @@ type Simulator struct {
 	regFanout    [][]netlist.NodeID // node -> DFFs whose D input it drives
 	maxFanoutPos []int32            // node -> furthest comb fanout position
 	maxFanin     int
+	// windows[0] is the span a transient on a register's D input must
+	// cover to be latched; windows[1] is the widened span for a
+	// clock-gated register whose enable is low this cycle.
+	windows [2]Interval
 	// Struct-of-arrays mirror of the netlist cells, so the injection
 	// sweep reads cell type and fanins from flat arrays instead of
 	// walking netlist.Node pointers: node i's fanins live at
@@ -182,8 +229,8 @@ func New(nl *netlist.Netlist, dm DelayModel) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dm.ClockPeriod <= 0 {
-		return nil, fmt.Errorf("timingsim: non-positive clock period %v", dm.ClockPeriod)
+	if err := dm.validate(nl); err != nil {
+		return nil, err
 	}
 	n := nl.NumNodes()
 	s := &Simulator{
@@ -201,6 +248,9 @@ func New(nl *netlist.Netlist, dm DelayModel) (*Simulator, error) {
 		waveBits:     make([]uint64, (n+63)/64),
 		needPos:      make([]uint64, (n+63)/64),
 	}
+	gf := max(dm.GatedWindowFactor, 1)
+	s.windows[0] = Interval{Start: dm.ClockPeriod - dm.Setup, End: dm.ClockPeriod + dm.Hold}
+	s.windows[1] = Interval{Start: dm.ClockPeriod - dm.Setup*gf, End: dm.ClockPeriod + dm.Hold*gf}
 	for i := range s.topoPos {
 		s.topoPos[i] = -1
 		s.maxFanoutPos[i] = -1
@@ -243,8 +293,8 @@ func New(nl *netlist.Netlist, dm DelayModel) (*Simulator, error) {
 }
 
 // Fork returns an independent simulator over the same design: the
-// immutable topology tables and the cone-schedule cache are shared, the
-// waveform state and scratch buffers are private. Forks may be used
+// immutable topology and delay tables are shared, the waveform state
+// and scratch buffers are private. Forks may be used
 // concurrently with the parent and with each other.
 func (s *Simulator) Fork() *Simulator {
 	n := s.nl.NumNodes()
@@ -258,6 +308,7 @@ func (s *Simulator) Fork() *Simulator {
 		regFanout:    s.regFanout,
 		maxFanoutPos: s.maxFanoutPos,
 		maxFanin:     s.maxFanin,
+		windows:      s.windows,
 		cellTypes:    s.cellTypes,
 		faninOff:     s.faninOff,
 		faninPool:    s.faninPool,
@@ -386,10 +437,9 @@ func (s *Simulator) inject(strike Strike) Result {
 // whose wave survives marks its combinational fanouts, and the walk
 // ends once it passes the furthest position any surviving waveform can
 // still reach (maxReach) — beyond it every remaining node has
-// fault-free fanins. Evaluation order (topo position) and the
-// evaluated live set match a full cone-schedule walk, so results are
-// identical; the bitset walk just skips the dead nodes of the cone
-// without touching them.
+// fault-free fanins. Nodes are evaluated in topological order, and
+// every node skipped has no waved fanin, so results are identical to
+// the dense reference sweep.
 func (s *Simulator) sweepSparse(res *Result) {
 	if len(s.touched) == 0 { // only seeded gates are touched so far
 		return
@@ -474,10 +524,6 @@ func (s *Simulator) evalNode(id netlist.NodeID, res *Result) {
 // cycle require a much wider transient (direct storage-node upset
 // instead of a clocked capture).
 func (s *Simulator) latchCheck(res *Result) {
-	gf := s.dm.GatedWindowFactor
-	if gf < 1 {
-		gf = 1
-	}
 	//hot
 	for _, d := range s.touched {
 		w := s.waves[d]
@@ -487,15 +533,12 @@ func (s *Simulator) latchCheck(res *Result) {
 		for _, r := range s.regFanout[d] {
 			node := s.nl.Node(r)
 			res.ReachedRegs++
-			setup, hold := s.dm.Setup, s.dm.Hold
+			win := s.windows[0]
 			if node.En != netlist.Invalid && !s.val(node.En) {
-				setup *= gf
-				hold *= gf
+				win = s.windows[1]
 			}
-			winStart := s.dm.ClockPeriod - setup
-			winEnd := s.dm.ClockPeriod + hold
 			for _, iv := range w {
-				if iv.Start <= winStart && iv.End >= winEnd {
+				if iv.Start <= win.Start && iv.End >= win.End {
 					res.FlippedRegs = append(res.FlippedRegs, r) //alloc-ok (result slice, reset per Inject)
 					break
 				}

@@ -275,13 +275,61 @@ func TestXorIntervalsProperties(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadModel checks New rejects delay models the sweep
+// cannot evaluate, and accepts a model that omits only the delays of
+// cell types the netlist does not use (constants need none).
 func TestNewRejectsBadModel(t *testing.T) {
-	nl := netlist.New(2)
-	nl.AddInput("a")
-	dm := DefaultDelayModel()
-	dm.ClockPeriod = 0
-	if _, err := New(nl, dm); err == nil {
-		t.Fatal("accepted zero clock period")
+	nl := netlist.New(6)
+	a := nl.AddInput("a")
+	c := nl.AddConst(true)
+	g := nl.AddGate(netlist.And, a, c)
+	nl.AddDFF(nl.AddGate(netlist.Inv, g), "q", false)
+	if err := nl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	withDelay := func(ct netlist.CellType, d float64) func(*DelayModel) {
+		return func(dm *DelayModel) {
+			cd := map[netlist.CellType]float64{}
+			for k, v := range dm.CellDelay {
+				cd[k] = v
+			}
+			cd[ct] = d
+			dm.CellDelay = cd
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*DelayModel)
+		ok   bool
+	}{
+		{"default", func(*DelayModel) {}, true},
+		{"unused cell type missing", func(dm *DelayModel) {
+			dm.CellDelay = map[netlist.CellType]float64{netlist.And: 11, netlist.Inv: 5}
+		}, true},
+		{"zero clock period", func(dm *DelayModel) { dm.ClockPeriod = 0 }, false},
+		{"negative clock period", func(dm *DelayModel) { dm.ClockPeriod = -1 }, false},
+		{"NaN clock period", func(dm *DelayModel) { dm.ClockPeriod = nan }, false},
+		{"infinite clock period", func(dm *DelayModel) { dm.ClockPeriod = inf }, false},
+		{"used cell type missing", func(dm *DelayModel) {
+			dm.CellDelay = map[netlist.CellType]float64{netlist.And: 11}
+		}, false},
+		{"negative delay", withDelay(netlist.And, -1), false},
+		{"NaN delay", withDelay(netlist.Inv, nan), false},
+		{"infinite delay", withDelay(netlist.Inv, inf), false},
+		{"NaN setup", func(dm *DelayModel) { dm.Setup = nan }, false},
+		{"infinite hold", func(dm *DelayModel) { dm.Hold = inf }, false},
+		{"NaN attenuation", func(dm *DelayModel) { dm.Attenuation = nan }, false},
+		{"infinite min pulse", func(dm *DelayModel) { dm.MinPulse = inf }, false},
+		{"negative min pulse", func(dm *DelayModel) { dm.MinPulse = -1 }, false},
+		{"NaN gated window factor", func(dm *DelayModel) { dm.GatedWindowFactor = nan }, false},
+		{"infinite gated window factor", func(dm *DelayModel) { dm.GatedWindowFactor = -inf }, false},
+	} {
+		dm := DefaultDelayModel()
+		tc.edit(&dm)
+		if _, err := New(nl, dm); (err == nil) != tc.ok {
+			t.Errorf("%s: New error %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
