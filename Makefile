@@ -69,7 +69,7 @@ bench:
 # shared-runner noise). The convergence record counts samples, not
 # time — fixed-seed deterministic — so it is gated at a tight 0.05.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunOnce$$|BenchmarkGateInjection$$|BenchmarkCampaign$$' -benchtime=100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRunOnce$$|BenchmarkGateInjection$$|BenchmarkCampaign$$|BenchmarkCampaignRegister$$' -benchtime=100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMPUEval$$' -benchtime=100x ./internal/soc/
 	$(GO) run ./cmd/benchjson -suite runonce -out /tmp/bench_smoke.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 0.75 BENCH_runonce.json /tmp/bench_smoke.json

@@ -348,6 +348,21 @@ func BenchmarkCampaign(b *testing.B) {
 	b.ReportMetric(c.SSF()*1e6, "SSFe-6")
 }
 
+// BenchmarkCampaignRegister measures campaign throughput under register
+// attacks with the random sampler: no timed injection runs, so the cost
+// is dominated by the batched RTL resume.
+func BenchmarkCampaignRegister(b *testing.B) {
+	_, ev := benchSetup(b)
+	opts := montecarlo.CampaignOptions{Samples: b.N, Seed: 1, Mode: montecarlo.RegisterAttack}
+	b.ResetTimer()
+	c, err := ev.Engine.RunCampaign(context.Background(), ev.RandomSampler(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+	b.ReportMetric(c.SSF()*1e6, "SSFe-6")
+}
+
 // --- Microbenchmarks of the substrates --------------------------------------
 
 // BenchmarkRTLCycle measures one SoC co-simulation cycle.

@@ -1,5 +1,4 @@
-// Lane-batched campaign execution: speculative 64-sample bit-parallel
-// RTL resume with exact scalar fallback.
+// Lane-batched campaign execution: 64-sample bit-parallel RTL resume.
 //
 // A scalar RunOnce pays three per-sample costs: a checkpoint restore to
 // the injection cycle, one full SoC cycle to apply the gate-level
@@ -12,27 +11,30 @@
 // states into the lanes of one forked logicsim.Simulator and stepping
 // them together against the recorded golden bus trace.
 //
-// Speculation and fallback: a faulty MPU only influences the rest of
-// the system through its grant/viol outputs at response-consumption
-// cycles, so while a lane's outputs match the recorded golden responses
-// the behavioural core, memory, and DMA provably stay on the golden
-// trajectory and the shared replay is exact. A lane whose responding
-// signals diverge is ejected to the scalar resume from the divergence
-// cycle, reconstructing the full SoC state it would have had; a lane
-// whose registers return to golden has converged (the fault died — the
-// attack failed), mirroring the scalar convergence cut. Fixed-seed
-// campaign results are bit-identical to evaluating every sample with
-// RunOnce.
+// A faulty MPU only influences the rest of the system through its
+// grant/viol outputs at response-consumption cycles, so while a lane's
+// outputs match the recorded golden responses the behavioural core,
+// memory, and DMA provably stay on the golden trajectory and the shared
+// replay is exact. A lane whose responding signals diverge gets its own
+// soc.System, copied from the golden checkpoint of the divergence cycle,
+// and stays in the simulator: each cycle its system consumes the lane's
+// own grant/viol bits, and the port bits it drives differently from the
+// golden trace are patched into its lane. A lane whose state returns to
+// golden has converged (the fault died — the attack failed), mirroring
+// the scalar convergence cut. Fixed-seed campaign results are
+// bit-identical to evaluating every sample with RunOnce.
 package montecarlo
 
 import (
+	"cmp"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/logicsim"
 	"repro/internal/netlist"
+	"repro/internal/soc"
 	"repro/internal/timingsim"
 )
 
@@ -40,15 +42,20 @@ import (
 // is built lazily on the first batched run after RunGolden and reused
 // for the rest of the campaign.
 type batchState struct {
-	// The recorded window [lo, hi]: lo = TargetCycle - TRange (clamped
-	// to 0), hi = markedResp = TargetCycle + 1, the cycle the marked
-	// response is consumed — no resume runs past it without diverging.
-	lo, hi     int
+	// The recorded window starts at lo = TargetCycle - TRange (clamped
+	// to 0) and ends at the golden FinalCycle. markedResp = TargetCycle +
+	// 1 is the cycle the marked response is consumed: no lane stays on
+	// the golden trajectory past it.
+	lo         int
 	markedResp int
 	// regs[c-lo] holds the golden register words at the beginning of
 	// cycle c. The golden run never flips a lane, so each word is a
 	// uniform broadcast and doubles as the 64-lane reference state.
 	regs [][]uint64
+	// goldenSys[c-lo] is the golden behavioural system at the beginning
+	// of cycle c, its memory kept only by hash (Mem is nil): the
+	// reference a diverged lane's convergence is tested against.
+	goldenSys []soc.System
 	// comb[c-lo] is a bitset over node IDs of the golden post-Eval
 	// values during cycle c (injection cycles only, c <= TargetCycle) —
 	// exactly what a scalar StepInject would hand the inject callback.
@@ -57,10 +64,26 @@ type batchState struct {
 	// c, parallel to comb: a gate strike it rejects latches nothing, so
 	// evalSample skips its sweep.
 	bounds []*timingsim.LatchBound
-	// regIndex maps a register node to its position in RegState order.
-	regIndex map[netlist.NodeID]int
-	sim      *logicsim.Simulator
-	loadBuf  []uint64 // lane-load / fallback-restore scratch
+	sim    *logicsim.Simulator
+	// laneSys[l] is the behavioural system of lane l once it diverged,
+	// reused across batches.
+	laneSys [DefaultLanes]soc.System
+
+	// exits, when non-nil, collects how every diverged lane retired
+	// (tests only).
+	exits *[]laneExit
+}
+
+// laneExit records how and in which state a diverged lane retired.
+type laneExit struct {
+	idx, te int
+	cut     bool // retired by the convergence cut
+	// replayed marks a lane whose result came from the scalar fallback.
+	replayed bool
+	// sys and regs are the lane's behavioural system and register bits
+	// (one per register, Netlist.Regs order) at retirement.
+	sys  soc.System
+	regs []bool
 }
 
 // pendingResume is one deferred PathRTL sample awaiting a lane of a
@@ -71,9 +94,10 @@ type pendingResume struct {
 	flips []netlist.NodeID
 }
 
-// ensureBatchState records the golden attack window once: register
-// state per cycle plus the post-Eval value bitsets the gate-level
-// injection consumes, and the latch bound of each injection cycle.
+// ensureBatchState records the golden window once: register state and
+// behavioural system per cycle, plus the post-Eval value bitsets the
+// gate-level injection consumes and the latch bound of each injection
+// cycle.
 func (e *Engine) ensureBatchState() *batchState {
 	if e.batch != nil {
 		return e.batch
@@ -83,21 +107,18 @@ func (e *Engine) ensureBatchState() *batchState {
 	if lo < 0 {
 		lo = 0
 	}
-	hi := g.TargetCycle + 1
-	b := &batchState{lo: lo, hi: hi, markedResp: g.TargetCycle + 1}
-	nl := e.SoC.MPU.Netlist
-	regs := nl.Regs()
-	b.regIndex = make(map[netlist.NodeID]int, len(regs))
-	for i, r := range regs {
-		b.regIndex[r] = i
-	}
-	b.regs = make([][]uint64, hi-lo+1)
-	b.comb = make([][]uint64, hi-lo+1)
-	nn := nl.NumNodes()
+	b := &batchState{lo: lo, markedResp: g.TargetCycle + 1}
+	fin := g.FinalCycle
+	b.regs = make([][]uint64, fin-lo+1)
+	b.goldenSys = make([]soc.System, fin-lo+1)
+	b.comb = make([][]uint64, g.TargetCycle-lo+1)
+	nn := e.SoC.MPU.Netlist.NumNodes()
 	e.restoreTo(lo)
 	for c := lo; ; c++ {
 		b.regs[c-lo] = e.SoC.Sim.RegState()
-		if c == hi {
+		b.goldenSys[c-lo] = e.SoC.System
+		b.goldenSys[c-lo].Mem = nil
+		if c == fin {
 			break
 		}
 		if c <= g.TargetCycle {
@@ -115,9 +136,8 @@ func (e *Engine) ensureBatchState() *batchState {
 			e.SoC.Step()
 		}
 	}
-	b.bounds = e.Timing.LatchBounds(b.comb[:g.TargetCycle-lo+1])
+	b.bounds = e.Timing.LatchBounds(b.comb)
 	b.sim = e.SoC.Sim.Fork()
-	b.loadBuf = make([]uint64, len(regs))
 	e.batch = b
 	return b
 }
@@ -195,7 +215,7 @@ func (e *Engine) RunBatch(rng *rand.Rand, samples []fault.Sample, mode Mode) []R
 // (te, flips) and the shared golden trace, so how the pending list is
 // chunked never affects any sample's outcome.
 func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
-	sort.SliceStable(pend, func(i, j int) bool { return pend[i].te < pend[j].te })
+	slices.SortStableFunc(pend, func(a, b pendingResume) int { return cmp.Compare(a.te, b.te) })
 	for start := 0; start < len(pend); start += DefaultLanes {
 		e.resumeBatch(pend[start:min(start+DefaultLanes, len(pend))], results)
 	}
@@ -203,27 +223,44 @@ func (e *Engine) flushResumes(pend []pendingResume, results []RunResult) {
 
 // resumeBatch resumes up to 64 post-injection register states together:
 // lane l of every register holds lanes[l]'s faulty value, and the
-// forked simulator steps once per cycle against the recorded golden bus
-// trace, with each lane's flips entering at its own injection cycle +1.
-// Per cycle, one XOR pass against the golden register words yields
-// every lane's error-liveness bit (converged lanes retire as failed,
-// matching the scalar convergence cut), and the responding grant/viol
-// signals are compared against the recorded golden responses at
-// consumption cycles — lanes that diverge behaviorally are ejected to
-// the exact scalar resume from the divergence cycle. Lanes still on the
-// golden trajectory when the marked response is consumed saw the golden
-// decision (trap), so the attack failed. lanes must be te-sorted.
+// forked simulator steps once per cycle, with each lane's flips entering
+// at its own injection cycle +1. Every lane retires exactly where the
+// scalar resumeRTL would stop.
+//
+// A lane on the golden trajectory sees the recorded golden inputs. One
+// XOR pass against the golden register words per cycle yields every
+// lane's error-liveness bit (converged lanes retire as failed), and its
+// grant/viol signals are compared against the recorded golden responses
+// at consumption cycles. Lanes still on the golden trajectory when the
+// marked response is consumed retire with the closed-form outcome.
+//
+// A lane whose responses diverge at cycle c continues with its own
+// system, started from the golden system of cycle c; it retires when
+// that system is done, the marked access resolves, the resume horizon
+// expires, or it meets the convergence cut. The scalar cut digests all
+// 64 lanes of the scalar SoC, whose lanes 1–63 start golden at c and see
+// the faulty system's inputs. While the lane has driven exactly the
+// golden inputs since c, those lanes are still golden, so the cut fires
+// iff the lane's system and registers equal golden. Once it has driven
+// other inputs, a lane that comes back to golden is replayed through the
+// scalar resume instead. lanes must be te-sorted.
 func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 	b := e.batch
 	g := e.golden
 	sim := b.sim
+	mpu := e.SoC.MPU
 	startC := lanes[0].te + 1
 	sim.SetRegState(b.regs[startC-b.lo])
-	var active uint64
+	// golden: lanes on the golden trajectory; own: diverged lanes
+	// stepping their own system; strayed: own lanes that have driven
+	// other inputs than the golden trace since they diverged.
+	var golden, own, strayed uint64
 	next := 0
 	useCut := !e.DisableConvergenceCut
-	grant := e.SoC.MPU.OutGrant[0]
-	viol := e.SoC.MPU.OutViol[0]
+	limit := g.FinalCycle + e.ResumeMargin
+	grant, viol := mpu.OutGrant[0], mpu.OutViol[0]
+	ports := mpu.PortNodes()
+	var patch [64]uint64 // per port bit: the lanes driving it inverted
 	trace := g.BusTrace
 	//hot
 	for c := startC; ; c++ {
@@ -232,75 +269,129 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 			for _, r := range lanes[next].flips {
 				sim.SetReg(r, sim.Val(r)^bit)
 			}
-			active |= bit
+			golden |= bit
 			next++
 		}
-		goldenRegs := b.regs[c-b.lo]
-		if useCut {
-			if conv := active &^ sim.RegDiffMask(goldenRegs); conv != 0 {
+		// diff: lanes whose registers differ from golden; all lanes
+		// when the cut is off or the golden run has ended.
+		diff := logicsim.AllLanes
+		if useCut && c <= g.FinalCycle {
+			diff = sim.RegDiffMask(b.regs[c-b.lo])
+			if conv := golden &^ diff; conv != 0 {
 				for m := conv; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
 					results[lanes[l].idx].ResumeCycles = c - (lanes[l].te + 1)
 				}
-				active &^= conv
-				if active == 0 && next == len(lanes) {
-					return
-				}
+				golden &^= conv
 			}
 		}
+		gw, vw := sim.Val(grant), sim.Val(viol)
 		if c == b.markedResp {
-			// Every remaining lane reaches the marked decision with
-			// golden behavioural state, so its outcome is a closed form
-			// of its own grant/viol lanes: the scalar resume would step
-			// this one cycle — consuming the marked response with the
-			// lane's responding signals (committed = grant, trapped =
-			// viol) — and exit resolved. No fallback simulation is
-			// needed even for lanes whose signals diverge here.
-			gw, vw := sim.Val(grant), sim.Val(viol)
-			for m := active; m != 0; m &= m - 1 {
+			// Every remaining golden lane reaches the marked decision
+			// with golden behavioural state, so its outcome is a closed
+			// form of its own grant/viol lanes: the scalar resume would
+			// step this one cycle — consuming the marked response with
+			// the lane's responding signals (committed = grant, trapped
+			// = viol) — and exit resolved.
+			for m := golden; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				r := &results[lanes[l].idx]
 				r.ResumeCycles = c + 1 - (lanes[l].te + 1)
 				r.Success = gw>>uint(l)&1 == 1 && vw>>uint(l)&1 == 0
 			}
+			golden = 0
+		} else if golden != 0 && trace[c].RespConsumed {
+			ent := &trace[c]
+			div := (gw ^ logicsim.Broadcast(ent.RespGrant)) | (vw ^ logicsim.Broadcast(ent.RespViol))
+			if div &= golden; div != 0 {
+				cp := e.goldenCheckpoint(c)
+				for m := div; m != 0; m &= m - 1 {
+					b.laneSys[bits.TrailingZeros64(m)] = cp.System()
+				}
+				golden &^= div
+				own |= div
+			}
+		}
+		for m := own; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			sys := &b.laneSys[l]
+			ln := &lanes[l]
+			r := &results[ln.idx]
+			cut := false
+			switch {
+			case sys.Done() || sys.Marked.Resolved || c >= limit:
+				r.ResumeCycles, r.Success = c-(ln.te+1), sys.AttackSucceeded()
+			case diff>>uint(l)&1 == 0 && sys.SameDigest(&b.goldenSys[c-b.lo]):
+				cut = true
+				if strayed>>uint(l)&1 == 0 {
+					r.ResumeCycles, r.Success = c-(ln.te+1), false
+				} else {
+					r.ResumeCycles, r.Success = e.resumeInjected(ln.te, ln.flips)
+				}
+			default:
+				continue
+			}
+			own &^= 1 << uint(l)
+			if b.exits != nil {
+				b.recordExit(ln, uint(l), cut, cut && strayed>>uint(l)&1 == 1)
+			}
+		}
+		if golden|own == 0 && next == len(lanes) {
 			return
 		}
-		ent := &trace[c]
-		if ent.RespConsumed {
-			div := (sim.Val(grant) ^ logicsim.Broadcast(ent.RespGrant)) |
-				(sim.Val(viol) ^ logicsim.Broadcast(ent.RespViol))
-			if div &= active; div != 0 {
-				for m := div; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					resumed, success := e.resumeDiverged(c, uint(l), goldenRegs)
-					r := &results[lanes[l].idx]
-					r.ResumeCycles = c - (lanes[l].te + 1) + resumed
-					r.Success = success
-				}
-				active &^= div
-				if active == 0 && next == len(lanes) {
-					return
+
+		// Drive the golden port word, with each own lane's differing
+		// bits inverted in its lane, and clock.
+		var base uint64
+		if c < g.FinalCycle {
+			base = mpu.PortWord(&trace[c])
+		}
+		for m := own; m != 0; m &= m - 1 {
+			l := uint(bits.TrailingZeros64(m))
+			ent := b.laneSys[l].StepBus(gw>>l&1 == 1, vw>>l&1 == 1)
+			if d := mpu.PortWord(&ent) ^ base; d != 0 {
+				strayed |= 1 << l
+				for ; d != 0; d &= d - 1 {
+					patch[bits.TrailingZeros64(d)] |= 1 << l
 				}
 			}
 		}
-		e.SoC.MPU.DriveBusTrace(sim, ent)
+		for i, id := range ports {
+			sim.SetInput(id, -(base>>uint(i)&1)^patch[i])
+			patch[i] = 0
+		}
 		sim.Step()
 	}
 }
 
-// resumeDiverged ejects one lane from a batched resume at cycle c: it
-// reconstructs the exact SoC state the scalar path would have — golden
-// behavioural state (outputs matched every consumed response before c)
-// with the lane's faulty register bits in lane 0 and golden values in
-// lanes 1–63, as a scalar faulty run keeps them — and finishes with the
-// scalar RTL resume.
-func (e *Engine) resumeDiverged(c int, lane uint, goldenRegs []uint64) (resumed int, success bool) {
-	b := e.batch
-	e.restoreTo(c)
-	words := b.loadBuf
-	for i, r := range e.SoC.MPU.Netlist.Regs() {
-		words[i] = goldenRegs[i]&^1 | b.sim.Val(r)>>lane&1
+// recordExit appends a retiring diverged lane to exits.
+func (b *batchState) recordExit(p *pendingResume, l uint, cut, replayed bool) {
+	x := laneExit{idx: p.idx, te: p.te, cut: cut, replayed: replayed, sys: b.laneSys[l]}
+	for _, r := range b.sim.Netlist().Regs() {
+		x.regs = append(x.regs, b.sim.Val(r)>>l&1 == 1)
 	}
-	e.SoC.Sim.SetRegState(words)
+	*b.exits = append(*b.exits, x)
+}
+
+// goldenCheckpoint returns the golden snapshot of cycle c, preferring the
+// state cache's.
+func (e *Engine) goldenCheckpoint(c int) *soc.Checkpoint {
+	if e.cache != nil {
+		if cp := e.cache.get(c); cp != nil {
+			return cp
+		}
+	}
+	e.restoreTo(c)
+	return e.SoC.Snapshot()
+}
+
+// resumeInjected is the scalar resume a diverged lane stands for: from
+// the state RunOnce reaches after the injection cycle te — golden at
+// te+1 with the flips in lane 0 — it runs the scalar RTL resume. The
+// golden-trajectory part of that resume up to the divergence is
+// replayed too, so ResumeCycles counts from te+1 as in RunOnce.
+func (e *Engine) resumeInjected(te int, flips []netlist.NodeID) (resumed int, success bool) {
+	e.restoreTo(te + 1)
+	e.SoC.FlipRegsNow(flips)
 	return e.resumeRTL()
 }

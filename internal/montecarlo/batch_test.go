@@ -2,6 +2,7 @@ package montecarlo_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -355,5 +356,75 @@ func TestLatchBoundPruneRate(t *testing.T) {
 	}
 	if strikes < 5000 || float64(rejected) < 0.55*float64(strikes) {
 		t.Fatalf("bound rejected %d of %d strikes, want at least 55%%", rejected, strikes)
+	}
+}
+
+// TestDivergedLaneReplay checks the batched resume's diverged lanes
+// against the exact scalar fallback: after a RunBatch, the scalar resume
+// is re-run from every diverged lane's divergence cycle and must give
+// the lane's (ResumeCycles, Success). No campaign reaches the fallback
+// inside the batched resume often enough to test it there. Covered for
+// register attacks with the random sampler and for the concentrated gate
+// attack.
+func TestDivergedLaneReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ev   *core.Evaluation
+		mode montecarlo.Mode
+	}{
+		{"register", evaluation(t), montecarlo.RegisterAttack},
+		{"concentrated", concentratedEvaluation(t), montecarlo.GateAttack},
+	} {
+		sampler := tc.ev.RandomSampler()
+		srng := rand.New(rand.NewSource(31))
+		samples := make([]fault.Sample, 3000)
+		for i := range samples {
+			samples[i], _ = sampler.Draw(srng)
+		}
+		eng := tc.ev.Engine
+		eng.RecordLaneExits()
+		results := eng.RunBatch(rand.New(rand.NewSource(5)), samples, tc.mode)
+		n, err := eng.ReplayDivergedLanes(results)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n == 0 {
+			t.Fatalf("%s: no lane diverged — the per-lane systems were never exercised", tc.name)
+		}
+		t.Logf("%s: %d diverged lanes replayed", tc.name, n)
+	}
+}
+
+// TestBatchDivergedLaneCut covers the convergence cut of diverged lanes:
+// a fixed-seed importance campaign in which at least one lane whose
+// responses left the golden trace later comes back to the golden state
+// and retires through the cut must stay bit-identical to the scalar
+// oracle — and so must the same campaign with the cut disabled.
+func TestBatchDivergedLaneCut(t *testing.T) {
+	ev := evaluation(t)
+	sampler, err := ev.ImportanceSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := montecarlo.CampaignOptions{Samples: 5000, Seed: 2, TrackConvergence: true}
+	for _, disable := range []bool{false, true} {
+		eng := ev.Engine
+		eng.DisableConvergenceCut = disable
+		scalar, err := eng.RunCampaignScalar(sampler, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.RecordLaneExits()
+		batched, err := eng.RunCampaign(context.Background(), sampler, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("cut disabled %v", disable)
+		compareCampaigns(t, label, batched, scalar)
+		diverged, cut := eng.LaneExits()
+		t.Logf("%s: %d diverged lanes, %d retired by the cut", label, diverged, cut)
+		if want := !disable; (cut > 0) != want {
+			t.Errorf("%s: %d diverged lanes retired by the cut", label, cut)
+		}
 	}
 }

@@ -443,8 +443,8 @@ func (e *Engine) DensifyAttackWindow() {
 	if lo > 0 {
 		lo--
 	}
-	// One extra slot above: lane-batched resumes that diverge at the
-	// marked-response cycle fall back to a scalar restore there.
+	// One extra slot above: the batched resume's scalar fallback
+	// restores te+1, up to TargetCycle+1.
 	hi := g.TargetCycle + 1
 	if need := hi - lo + 1; e.StateCacheSize < need+4 {
 		e.StateCacheSize = need + 4

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/sampling"
@@ -57,4 +58,56 @@ func (e *Engine) LatchBoundRejections(sampler sampling.Sampler, n int, seed int6
 		}
 	}
 	return strikes, rejected, unsound
+}
+
+// RecordLaneExits makes the engine's batched resumes record how every
+// diverged lane (one whose responses left the golden trace) retires,
+// until the next RunGolden. RunGolden must have been called.
+func (e *Engine) RecordLaneExits() {
+	e.ensureBatchState().exits = new([]laneExit)
+}
+
+// LaneExits reports how many diverged lanes retired since
+// RecordLaneExits, and how many of them through the convergence cut.
+func (e *Engine) LaneExits() (diverged, cut int) {
+	for _, x := range *e.batch.exits {
+		if x.cut {
+			cut++
+		}
+	}
+	return len(*e.batch.exits), cut
+}
+
+// ReplayDivergedLanes re-runs the scalar fallback (resumeInjected) of
+// every recorded diverged lane and requires the same (ResumeCycles,
+// Success) as results, which must be the results of the RunBatch call
+// that recorded the lanes. Unless the lane's result came from that
+// fallback, the scalar SoC must also end in the lane's state: the same
+// cycle and system digest, and lane 0 of every MPU register equal to the
+// lane's bit. It returns the number of lanes replayed and clears the
+// record.
+func (e *Engine) ReplayDivergedLanes(results []RunResult) (int, error) {
+	exits := *e.batch.exits
+	*e.batch.exits = nil
+	s := e.SoC
+	for _, x := range exits {
+		got := results[x.idx]
+		resumed, success := e.resumeInjected(x.te, got.Flipped)
+		if got.ResumeCycles != resumed || got.Success != success {
+			return 0, fmt.Errorf("sample %d (te %d, cut %v): batched (%d, %v), scalar (%d, %v)",
+				x.idx, x.te, x.cut, got.ResumeCycles, got.Success, resumed, success)
+		}
+		if x.replayed {
+			continue
+		}
+		if s.Cycle() != x.sys.Cycle() || !s.SameDigest(&x.sys) {
+			return 0, fmt.Errorf("sample %d (te %d): system state differs from the scalar resume at cycle %d", x.idx, x.te, s.Cycle())
+		}
+		for i, r := range s.MPU.Netlist.Regs() {
+			if s.Sim.Bool(r) != x.regs[i] {
+				return 0, fmt.Errorf("sample %d (te %d): register %d differs from the scalar resume at cycle %d", x.idx, x.te, r, s.Cycle())
+			}
+		}
+	}
+	return len(exits), nil
 }

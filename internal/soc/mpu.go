@@ -102,6 +102,9 @@ type MPU struct {
 	// "legal" gate whose output feeds both the grant and the
 	// violation decision. A transient here flips both coherently.
 	CriticalGate netlist.NodeID
+
+	// ports lists every input node in PortWord bit order.
+	ports []netlist.NodeID
 }
 
 // RegionCfgWords returns the (base, limit, perm) cfg_addr triplet of a
@@ -278,6 +281,9 @@ func BuildMPU(cfg MPUConfig) (*MPU, error) {
 	m.RespondingSignals = append(m.RespondingSignals, violR.Q[0])
 	m.RespondingSignals = append(m.RespondingSignals, fsm.Q[0], fsm.Q[1])
 	m.CriticalGate = legal[0]
+	for _, p := range [][]netlist.NodeID{valid, write, priv, addr, cfgWe, cfgPriv, cfgAddr, cfgWData} {
+		m.ports = append(m.ports, p...)
+	}
 	return m, nil
 }
 

@@ -69,15 +69,21 @@ type MarkedOutcome struct {
 	IssueCycle, DecisionCycle, RespCycle int
 }
 
-// SoC co-simulates the behavioural core, memory, and DMA with the
-// gate-level MPU. It is not safe for concurrent use.
-type SoC struct {
+// System is the behavioural half of the SoC: the core, memory, DMA
+// engine, the in-flight and last bus requests, the trap counters and the
+// marked-access outcome. It sees the MPU only through the registered
+// grant/viol outputs it is handed each cycle, and it answers with the
+// values it drives onto the MPU ports, so one System can be stepped
+// against any simulator lane. A System copied out of a Checkpoint shares
+// the checkpoint's memory image copy-on-write.
+type System struct {
 	Cfg  Config
 	Prog *Program
-	MPU  *MPU
-	Sim  *logicsim.Simulator
 
 	Mem []uint16
+	// memShared marks Mem as borrowed from a checkpoint: the first store
+	// that changes a cell copies it first.
+	memShared bool
 
 	cpu     cpuState
 	pending busOp
@@ -97,6 +103,14 @@ type SoC struct {
 	// maintained incrementally on committed writes so StateHash never
 	// rescans the memory image.
 	memHash uint64
+}
+
+// SoC co-simulates the behavioural System with the gate-level MPU. Its
+// memory image is always its own. It is not safe for concurrent use.
+type SoC struct {
+	System
+	MPU *MPU
+	Sim *logicsim.Simulator
 
 	// LogAccesses enables recording every issued bus access into
 	// Accesses — used by the golden run so the analytical evaluator
@@ -165,7 +179,7 @@ func WithMPU(cfg Config, prog *Program, mpu *MPU) (*SoC, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &SoC{Cfg: cfg, Prog: prog, MPU: mpu, Sim: sim, Mem: make([]uint16, cfg.MemWords)}
+	s := &SoC{System: System{Cfg: cfg, Prog: prog, Mem: make([]uint16, cfg.MemWords)}, MPU: mpu, Sim: sim}
 	s.Reset()
 	return s, nil
 }
@@ -193,19 +207,19 @@ func (s *SoC) Reset() {
 }
 
 // Cycle returns the number of completed cycles.
-func (s *SoC) Cycle() int { return s.cycle }
+func (s *System) Cycle() int { return s.cycle }
 
 // Done reports whether the core has halted with no access in flight.
-func (s *SoC) Done() bool { return s.cpu.Halted && !s.pending.Active }
+func (s *System) Done() bool { return s.cpu.Halted && !s.pending.Active }
 
 // CPUReg returns a core register value.
-func (s *SoC) CPUReg(i int) uint16 { return s.cpu.R[i] }
+func (s *System) CPUReg(i int) uint16 { return s.cpu.R[i] }
 
 // Priv reports whether the core is in privileged mode.
-func (s *SoC) Priv() bool { return s.cpu.Priv }
+func (s *System) Priv() bool { return s.cpu.Priv }
 
 // PC returns the core's program counter.
-func (s *SoC) PC() int { return s.cpu.PC }
+func (s *System) PC() int { return s.cpu.PC }
 
 // InjectFunc performs a gate-level injection for the current cycle: it
 // receives the fault-free value of every MPU node (post-evaluation) and
@@ -216,18 +230,50 @@ type InjectFunc func(values func(netlist.NodeID) bool) []netlist.NodeID
 func (s *SoC) Step() { s.StepInject(nil) }
 
 // StepInject advances one cycle, applying a gate-level fault injection
-// at this cycle's closing clock edge when inject is non-nil.
+// at this cycle's closing clock edge when inject is non-nil. The system
+// steps first, so inject runs with Cycle already advanced.
 func (s *SoC) StepInject(inject InjectFunc) {
 	mpu := s.MPU
+	// The MPU's grant/viol outputs are registers, so their pre-Eval
+	// values are the decision latched at the end of the previous cycle.
+	e := s.StepBus(s.Sim.Bool(mpu.OutGrant[0]), s.Sim.Bool(mpu.OutViol[0]))
+	mpu.DriveBusTrace(s.Sim, &e)
+	if s.LogBusTrace {
+		s.BusTrace = append(s.BusTrace, e)
+	}
+	if e.Valid && s.LogAccesses {
+		// The request just issued is the pending access; StepBus has
+		// advanced the cycle past it.
+		p := &s.pending
+		s.Accesses = append(s.Accesses, AccessEvent{
+			Cycle: s.cycle - 1, Addr: p.Addr, Write: p.Write,
+			Priv: e.Priv, DMA: p.FromDMA, Marked: p.Marked,
+		})
+	}
 
-	// Phase A: consume the response to an in-flight access. The MPU's
-	// grant/viol outputs are registers, so their pre-Eval values are
-	// the decision latched at the end of the previous cycle.
-	var respConsumed, respGrant, respViol bool
+	// Clock the netlist, applying any gate-level injection at the
+	// closing edge.
+	s.Sim.Eval()
+	var flipped []netlist.NodeID
+	if inject != nil {
+		flipped = inject(func(id netlist.NodeID) bool { return s.Sim.Bool(id) })
+	}
+	s.Sim.Latch()
+	for _, r := range flipped {
+		s.Sim.FlipReg(r)
+	}
+}
+
+// StepBus advances the behavioural system one clock cycle. grant and
+// viol are the MPU's registered outputs at the start of the cycle (read
+// only when an in-flight access's response is due); the result is what
+// the system drives onto the MPU ports this cycle, plus the response it
+// consumed.
+func (s *System) StepBus(grant, viol bool) BusTraceEntry {
+	// Phase A: consume the response to an in-flight access.
+	var respConsumed bool
 	if s.pending.Active && s.cycle >= s.pending.RespCycle {
-		grant := s.Sim.Bool(mpu.OutGrant[0])
-		viol := s.Sim.Bool(mpu.OutViol[0])
-		respConsumed, respGrant, respViol = true, grant, viol
+		respConsumed = true
 		op := s.pending
 		s.pending = busOp{}
 		if op.Marked {
@@ -257,13 +303,9 @@ func (s *SoC) StepInject(inject InjectFunc) {
 	// Phase B/C: produce at most one bus request and at most one
 	// config write for this cycle.
 	var req busOp
-	var cfgW struct {
-		we    bool
-		addr  uint16
-		wdata uint16
-	}
+	var e BusTraceEntry
 	if !s.cpu.Halted && !s.pending.Active {
-		req, cfgW.we, cfgW.addr, cfgW.wdata = s.execute()
+		req, e.CfgWe, e.CfgAddr, e.CfgWData = s.execute()
 	}
 	// The DMA engine is started by firmware after MPU setup, modeled
 	// here as: it only issues once the core has dropped privilege.
@@ -276,34 +318,18 @@ func (s *SoC) StepInject(inject InjectFunc) {
 		s.dmaNext = s.cycle + s.Cfg.DMAPeriod
 	}
 
-	// Phase D: drive the MPU ports. During idle cycles the bus holds
-	// its previous address/type values with valid deasserted.
+	// Phase D: the port values. During idle cycles the bus holds its
+	// previous address/type values with valid deasserted.
 	drive := req
 	if !req.Active {
 		drive = s.lastReq
-		drive.Active = false
 	} else {
 		s.lastReq = req
 	}
-	s.Sim.DriveWord(mpu.InValid, b2u(req.Active))
-	s.Sim.DriveWord(mpu.InWrite, b2u(drive.Write))
-	s.Sim.DriveWord(mpu.InPriv, b2u(req.Active && !req.FromDMA && s.cpu.Priv))
-	s.Sim.DriveWord(mpu.InAddr, uint64(drive.Addr))
-	s.Sim.DriveWord(mpu.InCfgWe, b2u(cfgW.we))
-	s.Sim.DriveWord(mpu.InCfgPriv, b2u(s.cpu.Priv))
-	s.Sim.DriveWord(mpu.InCfgAddr, uint64(cfgW.addr))
-	s.Sim.DriveWord(mpu.InCfgWData, uint64(cfgW.wdata))
-
-	if s.LogBusTrace {
-		s.BusTrace = append(s.BusTrace, BusTraceEntry{
-			Valid: req.Active, Write: drive.Write,
-			Priv:  req.Active && !req.FromDMA && s.cpu.Priv,
-			Addr:  drive.Addr,
-			CfgWe: cfgW.we, CfgPriv: s.cpu.Priv,
-			CfgAddr: cfgW.addr, CfgWData: cfgW.wdata,
-			RespConsumed: respConsumed, RespGrant: respGrant, RespViol: respViol,
-		})
-	}
+	e.Valid, e.Write, e.Addr = req.Active, drive.Write, drive.Addr
+	e.Priv = req.Active && !req.FromDMA && s.cpu.Priv
+	e.CfgPriv = s.cpu.Priv
+	e.RespConsumed, e.RespGrant, e.RespViol = respConsumed, respConsumed && grant, respConsumed && viol
 
 	if req.Active {
 		// The request is captured at this cycle's end; the decision
@@ -315,42 +341,37 @@ func (s *SoC) StepInject(inject InjectFunc) {
 			s.Marked.IssueCycle = s.cycle
 			s.Marked.DecisionCycle = s.cycle + 1
 		}
-		if s.LogAccesses {
-			s.Accesses = append(s.Accesses, AccessEvent{
-				Cycle: s.cycle, Addr: req.Addr, Write: req.Write,
-				Priv: !req.FromDMA && s.cpu.Priv, DMA: req.FromDMA, Marked: req.Marked,
-			})
-		}
-	}
-
-	// Phase E: clock the netlist, applying any gate-level injection
-	// at the closing edge.
-	s.Sim.Eval()
-	var flipped []netlist.NodeID
-	if inject != nil {
-		flipped = inject(func(id netlist.NodeID) bool { return s.Sim.Bool(id) })
-	}
-	s.Sim.Latch()
-	for _, r := range flipped {
-		s.Sim.FlipReg(r)
 	}
 	s.cycle++
+	return e
 }
 
-// DriveBusTrace replays one recorded golden bus-trace entry onto the MPU
-// input ports of a simulator over the same netlist. Each bit is
-// broadcast to every lane, so a lane-batched resume can step 64 faulty
-// MPU register states against the one golden system trace with a
-// single combinational pass per cycle.
+// DriveBusTrace drives one bus-trace entry's port values onto the MPU
+// input ports of a simulator over the same netlist, broadcast to every
+// lane. SoC.StepInject drives the system's own entry this way, and a
+// lane-batched resume replays the recorded golden entries to step 64
+// faulty MPU register states with one combinational pass per cycle.
 func (m *MPU) DriveBusTrace(sim *logicsim.Simulator, e *BusTraceEntry) {
-	sim.DriveWord(m.InValid, b2u(e.Valid))
-	sim.DriveWord(m.InWrite, b2u(e.Write))
-	sim.DriveWord(m.InPriv, b2u(e.Priv))
-	sim.DriveWord(m.InAddr, uint64(e.Addr))
-	sim.DriveWord(m.InCfgWe, b2u(e.CfgWe))
-	sim.DriveWord(m.InCfgPriv, b2u(e.CfgPriv))
-	sim.DriveWord(m.InCfgAddr, uint64(e.CfgAddr))
-	sim.DriveWord(m.InCfgWData, uint64(e.CfgWData))
+	w := m.PortWord(e)
+	for i, id := range m.ports {
+		sim.SetInput(id, -(w >> uint(i) & 1))
+	}
+}
+
+// PortNodes lists the MPU input nodes in PortWord bit order.
+func (m *MPU) PortNodes() []netlist.NodeID { return m.ports }
+
+// PortWord packs the port values of a bus-trace entry into one word: bit
+// i is the value driven onto PortNodes()[i]. Two entries drive the same
+// inputs iff their port words are equal. The layout follows the port
+// order of BuildMPU: valid, write, priv, addr, cfg_we, cfg_priv,
+// cfg_addr (4 bits), cfg_wdata.
+func (m *MPU) PortWord(e *BusTraceEntry) uint64 {
+	ab := uint(len(m.InAddr))
+	mask := uint64(1)<<ab - 1
+	req := b2u(e.Valid) | b2u(e.Write)<<1 | b2u(e.Priv)<<2 | uint64(e.Addr)&mask<<3
+	cfg := b2u(e.CfgWe) | b2u(e.CfgPriv)<<1 | uint64(e.CfgAddr)&0xF<<2 | uint64(e.CfgWData)&mask<<6
+	return req | cfg<<(3+ab)
 }
 
 // FlipRegsNow flips the stored value of the given MPU registers between
@@ -362,15 +383,25 @@ func (s *SoC) FlipRegsNow(regs []netlist.NodeID) {
 }
 
 // commit applies a granted access to memory / the core.
-func (s *SoC) commit(op busOp) {
+func (s *System) commit(op busOp) {
 	addr := int(op.Addr) % len(s.Mem)
 	if op.Write {
 		if old := s.Mem[addr]; old != op.WData {
+			s.ownMem()
 			s.memHash ^= memCellHash(addr, old) ^ memCellHash(addr, op.WData)
 			s.Mem[addr] = op.WData
 		}
 	} else if !op.FromDMA {
 		s.cpu.R[op.Reg] = s.Mem[addr]
+	}
+}
+
+// ownMem gives the system a private copy of a memory image it borrowed
+// from a checkpoint, before its first write.
+func (s *System) ownMem() {
+	if s.memShared {
+		s.Mem = append([]uint16(nil), s.Mem...)
+		s.memShared = false
 	}
 }
 
@@ -463,9 +494,22 @@ func (s *SoC) StateHash() uint64 {
 	return h
 }
 
+// SameDigest reports whether two systems agree on every field StateHash
+// digests (the memory image by its hash). Two SoCs whose systems have the
+// same digest and whose MPU registers agree in every lane have equal
+// StateHash values, so this is the system half of the convergence test
+// without the collision.
+func (s *System) SameDigest(o *System) bool {
+	return s.cpu == o.cpu && s.Marked == o.Marked &&
+		busOpBits(&s.pending) == busOpBits(&o.pending) && s.pending.RespCycle == o.pending.RespCycle &&
+		busOpBits(&s.lastReq) == busOpBits(&o.lastReq) && s.lastReq.RespCycle == o.lastReq.RespCycle &&
+		s.dmaNext == o.dmaNext && s.dmaAddr == o.dmaAddr &&
+		s.TrapCount == o.TrapCount && s.DMAViol == o.DMAViol && s.memHash == o.memHash
+}
+
 // execute runs one instruction and reports any bus request / config
 // write it produces.
-func (s *SoC) execute() (req busOp, cfgWe bool, cfgAddr, cfgWData uint16) {
+func (s *System) execute() (req busOp, cfgWe bool, cfgAddr, cfgWData uint16) {
 	if s.cpu.PC < 0 || s.cpu.PC >= len(s.Prog.Instrs) {
 		s.cpu.Halted = true
 		return
@@ -530,60 +574,42 @@ func (s *SoC) Run(maxCycles int) int {
 // AttackSucceeded reports the paper's success condition: the marked
 // illegal access took effect and the responding mechanism did not fire
 // for it.
-func (s *SoC) AttackSucceeded() bool {
+func (s *System) AttackSucceeded() bool {
 	return s.Marked.Resolved && s.Marked.Committed && !s.Marked.Trapped
 }
 
 // Checkpoint is a full architectural + netlist state snapshot; the
 // golden run dumps these so fault-attack runs can restart near the
-// injection cycle instead of from reset.
+// injection cycle instead of from reset. A checkpoint is immutable: its
+// memory image is never written after Snapshot.
 type Checkpoint struct {
-	Cycle     int
-	CPU       cpuState
-	Pending   busOp
-	LastReq   busOp
-	DMANext   int
-	DMAAddr   uint16
-	TrapCount int
-	DMAViol   int
-	Marked    MarkedOutcome
-	MemHash   uint64
-	Mem       []uint16
-	MPURegs   []uint64
+	Cycle   int
+	sys     System
+	MPURegs []uint64
 }
 
 // Snapshot captures the full state.
 func (s *SoC) Snapshot() *Checkpoint {
-	cp := &Checkpoint{
-		Cycle:     s.cycle,
-		CPU:       s.cpu,
-		Pending:   s.pending,
-		LastReq:   s.lastReq,
-		DMANext:   s.dmaNext,
-		DMAAddr:   s.dmaAddr,
-		TrapCount: s.TrapCount,
-		DMAViol:   s.DMAViol,
-		Marked:    s.Marked,
-		MemHash:   s.memHash,
-		Mem:       append([]uint16(nil), s.Mem...),
-		MPURegs:   s.Sim.RegState(),
-	}
+	cp := &Checkpoint{Cycle: s.cycle, sys: s.System, MPURegs: s.Sim.RegState()}
+	cp.sys.Mem = append([]uint16(nil), s.Mem...)
 	return cp
+}
+
+// System returns the checkpoint's behavioural system. Its memory image
+// is the checkpoint's, shared copy-on-write: the first store that changes
+// a cell gives the returned system a private copy.
+func (cp *Checkpoint) System() System {
+	sys := cp.sys
+	sys.memShared = true
+	return sys
 }
 
 // Restore rewinds the SoC to a snapshot.
 func (s *SoC) Restore(cp *Checkpoint) {
-	s.cycle = cp.Cycle
-	s.cpu = cp.CPU
-	s.pending = cp.Pending
-	s.lastReq = cp.LastReq
-	s.dmaNext = cp.DMANext
-	s.dmaAddr = cp.DMAAddr
-	s.TrapCount = cp.TrapCount
-	s.DMAViol = cp.DMAViol
-	s.Marked = cp.Marked
-	s.memHash = cp.MemHash
-	copy(s.Mem, cp.Mem)
+	mem := s.Mem
+	s.System = cp.sys
+	s.Mem = mem
+	copy(s.Mem, cp.sys.Mem)
 	s.Sim.SetRegState(cp.MPURegs)
 }
 

@@ -1,8 +1,11 @@
 package soc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
 
@@ -175,9 +178,9 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 		s.Step()
 	}
 	cp := s.Snapshot()
-	memBefore := cp.Mem[UserBase]
+	memBefore := cp.sys.Mem[UserBase]
 	s.Run(s.Cfg.MaxCycles)
-	if cp.Mem[UserBase] != memBefore {
+	if cp.sys.Mem[UserBase] != memBefore {
 		t.Error("snapshot shares memory with live SoC")
 	}
 }
@@ -492,5 +495,180 @@ func TestDualRailSingleRailFlipFailsSecure(t *testing.T) {
 	}
 	if agree == 0 {
 		t.Fatal("no cycles observed")
+	}
+}
+
+// TestSystemReplaysGolden: a System copied from the reset checkpoint
+// and stepped with the golden grant/viol reproduces every golden
+// bus-trace entry and the golden state at every cycle up to the end of
+// the run.
+func TestSystemReplaysGolden(t *testing.T) {
+	s := defaultWrite(t)
+	cp := s.Snapshot()
+	s.LogBusTrace = true
+	var golden []System
+	for !s.Done() && s.Cycle() < s.Cfg.MaxCycles {
+		golden = append(golden, s.System)
+		s.Step()
+	}
+	golden = append(golden, s.System)
+	sys := cp.System()
+	for c, want := range s.BusTrace {
+		if sys.Cycle() != c || !sys.SameDigest(&golden[c]) {
+			t.Fatalf("cycle %d: system left the golden state", c)
+		}
+		if got := sys.StepBus(want.RespGrant, want.RespViol); got != want {
+			t.Fatalf("cycle %d: drove %+v, golden %+v", c, got, want)
+		}
+	}
+	if !sys.SameDigest(&golden[len(s.BusTrace)]) || !sys.Done() || sys.Marked != s.Marked || !slices.Equal(sys.Mem, s.Mem) {
+		t.Fatal("final state differs from the golden run")
+	}
+}
+
+// TestSystemCopyOnWrite: a System copied from a checkpoint shares its
+// memory image until its first changing store, which copies the image
+// and never writes the checkpoint's; its memory hash follows the scalar
+// SoC it replays, here a faulty run whose marked store commits.
+func TestSystemCopyOnWrite(t *testing.T) {
+	s := defaultWrite(t)
+	for !s.Done() && s.Marked.IssueCycle == 0 {
+		s.Step()
+	}
+	cp := s.Snapshot()
+	image := slices.Clone(cp.sys.Mem)
+	s.FlipRegsNow([]netlist.NodeID{s.MPU.Groups["cfg_perm1"][1]}) // user-write bit
+	s.LogBusTrace = true
+	var hashes []uint64
+	for !s.Done() && s.Cycle() < s.Cfg.MaxCycles {
+		s.Step()
+		hashes = append(hashes, s.memHash)
+	}
+	if !s.AttackSucceeded() {
+		t.Fatal("faulty run did not commit the marked store")
+	}
+
+	sys, other := cp.System(), cp.System()
+	for c, want := range s.BusTrace {
+		if got := sys.StepBus(want.RespGrant, want.RespViol); got != want {
+			t.Fatalf("cycle %d: drove %+v, scalar %+v", c, got, want)
+		}
+		if sys.memHash != hashes[c] {
+			t.Fatalf("cycle %d: memory hash %#x, scalar %#x", c, sys.memHash, hashes[c])
+		}
+	}
+	if &sys.Mem[0] == &cp.sys.Mem[0] {
+		t.Error("stores wrote the shared image instead of a copy")
+	}
+	if !slices.Equal(cp.sys.Mem, image) {
+		t.Error("stores mutated the checkpoint's memory")
+	}
+	if !slices.Equal(sys.Mem, s.Mem) {
+		t.Error("memory differs from the scalar run")
+	}
+	if &other.Mem[0] != &cp.sys.Mem[0] {
+		t.Error("a system that never stored does not share the checkpoint's image")
+	}
+}
+
+// TestSameDigestTracksStateHash: changing any field StateHash digests
+// changes both the hash and SameDigest; a field it does not digest
+// (the cycle counter) changes neither.
+func TestSameDigestTracksStateHash(t *testing.T) {
+	s := defaultWrite(t)
+	for s.Cycle() < 60 {
+		s.Step()
+	}
+	ref := s.System
+	h := s.StateHash()
+	for _, m := range []struct {
+		name     string
+		digested bool
+		f        func(*System)
+	}{
+		{"R", true, func(x *System) { x.cpu.R[3] ^= 1 }},
+		{"PC", true, func(x *System) { x.cpu.PC++ }},
+		{"Priv", true, func(x *System) { x.cpu.Priv = !x.cpu.Priv }},
+		{"Halted", true, func(x *System) { x.cpu.Halted = !x.cpu.Halted }},
+		{"Resolved", true, func(x *System) { x.Marked.Resolved = !x.Marked.Resolved }},
+		{"Committed", true, func(x *System) { x.Marked.Committed = !x.Marked.Committed }},
+		{"Trapped", true, func(x *System) { x.Marked.Trapped = !x.Marked.Trapped }},
+		{"IssueCycle", true, func(x *System) { x.Marked.IssueCycle++ }},
+		{"DecisionCycle", true, func(x *System) { x.Marked.DecisionCycle++ }},
+		{"Marked.RespCycle", true, func(x *System) { x.Marked.RespCycle++ }},
+		{"pending.Active", true, func(x *System) { x.pending.Active = !x.pending.Active }},
+		{"pending.Write", true, func(x *System) { x.pending.Write = !x.pending.Write }},
+		{"pending.Marked", true, func(x *System) { x.pending.Marked = !x.pending.Marked }},
+		{"pending.FromDMA", true, func(x *System) { x.pending.FromDMA = !x.pending.FromDMA }},
+		{"pending.Addr", true, func(x *System) { x.pending.Addr ^= 1 }},
+		{"pending.Reg", true, func(x *System) { x.pending.Reg ^= 1 }},
+		{"pending.WData", true, func(x *System) { x.pending.WData ^= 1 }},
+		{"pending.RespCycle", true, func(x *System) { x.pending.RespCycle++ }},
+		{"lastReq.Addr", true, func(x *System) { x.lastReq.Addr ^= 1 }},
+		{"lastReq.RespCycle", true, func(x *System) { x.lastReq.RespCycle++ }},
+		{"dmaNext", true, func(x *System) { x.dmaNext++ }},
+		{"dmaAddr", true, func(x *System) { x.dmaAddr ^= 1 }},
+		{"TrapCount", true, func(x *System) { x.TrapCount++ }},
+		{"DMAViol", true, func(x *System) { x.DMAViol++ }},
+		{"memHash", true, func(x *System) { x.memHash ^= 1 }},
+		{"cycle", false, func(x *System) { x.cycle++ }},
+	} {
+		s.System = ref
+		m.f(&s.System)
+		if same := s.System.SameDigest(&ref); same == m.digested {
+			t.Errorf("%s: SameDigest = %v", m.name, same)
+		}
+		if same := s.StateHash() == h; same == m.digested {
+			t.Errorf("%s: StateHash unchanged = %v", m.name, same)
+		}
+	}
+}
+
+// TestDriveBusTracePorts: DriveBusTrace puts every field of an entry on
+// its own MPU input port, truncated to the port's width, through the
+// packed PortWord — for the default and a narrow address bus.
+func TestDriveBusTracePorts(t *testing.T) {
+	for _, ab := range []int{16, 8} {
+		m, err := BuildMPU(MPUConfig{Regions: 4, AddrBits: ab})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := logicsim.New(m.Netlist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDriveBusTrace(t, m, sim)
+	}
+}
+
+func checkDriveBusTrace(t *testing.T, m *MPU, sim *logicsim.Simulator) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		e := BusTraceEntry{
+			Valid: rng.Intn(2) == 1, Write: rng.Intn(2) == 1, Priv: rng.Intn(2) == 1,
+			Addr:  uint16(rng.Uint32()),
+			CfgWe: rng.Intn(2) == 1, CfgPriv: rng.Intn(2) == 1,
+			CfgAddr: uint16(rng.Uint32()), CfgWData: uint16(rng.Uint32()),
+		}
+		m.DriveBusTrace(sim, &e)
+		for _, p := range []struct {
+			bits []netlist.NodeID
+			want uint64
+		}{
+			{m.InValid, b2u(e.Valid)}, {m.InWrite, b2u(e.Write)}, {m.InPriv, b2u(e.Priv)},
+			{m.InAddr, uint64(e.Addr)}, {m.InCfgWe, b2u(e.CfgWe)}, {m.InCfgPriv, b2u(e.CfgPriv)},
+			{m.InCfgAddr, uint64(e.CfgAddr)}, {m.InCfgWData, uint64(e.CfgWData)},
+		} {
+			want := p.want & (1<<uint(len(p.bits)) - 1)
+			if got := sim.ReadWord(p.bits); got != want {
+				t.Fatalf("entry %+v: port %v reads %#x, want %#x", e, p.bits, got, want)
+			}
+			for _, id := range p.bits {
+				if v := sim.Val(id); v != 0 && v != logicsim.AllLanes {
+					t.Fatalf("port node %d not broadcast: %#x", id, v)
+				}
+			}
+		}
 	}
 }
