@@ -226,44 +226,6 @@ func benchSignature(b *testing.B, parallel bool) {
 func BenchmarkSignatureBitParallel(b *testing.B) { benchSignature(b, true) }
 func BenchmarkSignatureScalar(b *testing.B)      { benchSignature(b, false) }
 
-// BenchmarkCheckpointSpacing sweeps the golden-run checkpoint interval:
-// denser checkpoints cost memory but shorten the restart warm-up.
-func benchCheckpointSpacing(b *testing.B, interval int) {
-	fw, _ := benchSetup(b)
-	prog, err := fw.BenchmarkProgram(core.BenchmarkIllegalWrite)
-	if err != nil {
-		b.Fatal(err)
-	}
-	attack, err := fw.NewAttack(core.DefaultAttackSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := soc.WithMPU(fw.Opts.SoC, prog, fw.MPU)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := montecarlo.New(s, attack, fw.Place, fw.Opts.Delay, fw.Char, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.RunGolden(interval); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	samples := make([]fault.Sample, 256)
-	for i := range samples {
-		samples[i] = attack.SampleNominal(rng)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.RunOnce(rng, samples[i%len(samples)], montecarlo.GateAttack)
-	}
-}
-
-func BenchmarkCheckpointSpacing8(b *testing.B)   { benchCheckpointSpacing(b, 8) }
-func BenchmarkCheckpointSpacing32(b *testing.B)  { benchCheckpointSpacing(b, 32) }
-func BenchmarkCheckpointSpacing128(b *testing.B) { benchCheckpointSpacing(b, 128) }
-
 // BenchmarkAnalyticalVsRTL compares deciding memory-type-only outcomes
 // analytically against a full RTL resume (the design choice behind the
 // memory/computation classification).
@@ -278,7 +240,7 @@ func BenchmarkAnalyticalVsRTL(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rtlOnly.RunGolden(fw.Opts.CheckpointInterval); err != nil {
+	if _, err := rtlOnly.RunGolden(); err != nil {
 		b.Fatal(err)
 	}
 	// Collect samples whose outcome is decided analytically.
@@ -405,7 +367,7 @@ func BenchmarkGateInjection(b *testing.B) {
 }
 
 // BenchmarkRunOnce measures a complete cross-level fault-attack run
-// (restore, warm-up, injection, classification, outcome).
+// (checkpoint restore, injection, classification, outcome).
 func BenchmarkRunOnce(b *testing.B) {
 	_, ev := benchSetup(b)
 	rng := rand.New(rand.NewSource(1))

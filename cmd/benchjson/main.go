@@ -24,7 +24,9 @@
 //     tolerance.
 //
 // It uses the same setup as the root go-bench harness, so the numbers
-// are comparable to `go test -bench`.
+// are comparable to `go test -bench`. Every record names the host it was
+// measured on (CPU model, GOMAXPROCS, Go version); -compare prints both
+// hosts, since timings from different hosts are not comparable.
 //
 // Regression gate: `benchjson -compare -tolerance 0.25 old.json
 // new.json` compares two records, prints the per-metric percentage
@@ -45,6 +47,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -73,7 +77,37 @@ type benchResult struct {
 	ESS         float64 `json:"ess,omitempty"`
 }
 
+// hostInfo identifies the machine a record was measured on.
+type hostInfo struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+func (h *hostInfo) String() string {
+	if h == nil {
+		return "unknown host"
+	}
+	return fmt.Sprintf("%s, GOMAXPROCS=%d, %s", h.CPU, h.GOMAXPROCS, h.GoVersion)
+}
+
+// currentHost describes this machine; the CPU model comes from
+// /proc/cpuinfo where it exists and is "unknown" elsewhere.
+func currentHost() *hostInfo {
+	h := &hostInfo{CPU: "unknown", GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
+}
+
 type benchFile struct {
+	Host       *hostInfo     `json:"host,omitempty"`
 	Benchmarks []benchResult `json:"benchmarks"`
 	// SpeedupCodegen records generated-over-interpreted combinational
 	// pass throughput; SpeedupCodegenCampaign records the
@@ -111,7 +145,7 @@ func main() {
 		fatal(fmt.Errorf("unknown suite %q", *suite))
 	}
 
-	file := benchFile{Benchmarks: results}
+	file := benchFile{Host: currentHost(), Benchmarks: results}
 	if *suite == "codegen" {
 		var evalInterp, evalGen, campInterp, campGen float64
 		for _, r := range results {
@@ -405,6 +439,7 @@ func compareFiles(oldPath, newPath string, tolerance float64) error {
 	if err != nil {
 		return err
 	}
+	fmt.Printf("old host: %v\nnew host: %v\n", oldRec.Host, newRec.Host)
 	newBy := make(map[string]benchResult, len(newRec.Benchmarks))
 	for _, r := range newRec.Benchmarks {
 		newBy[r.Name] = r

@@ -61,19 +61,16 @@ type Options struct {
 	Delay     timingsim.DelayModel
 	// WorkIters sizes the benchmarks' legitimate work loop.
 	WorkIters uint16
-	// CheckpointInterval is the golden-run checkpoint spacing.
-	CheckpointInterval int
 }
 
 // DefaultOptions returns the configuration used throughout the
 // experiments.
 func DefaultOptions() Options {
 	return Options{
-		SoC:                soc.DefaultConfig(),
-		Precharac:          precharac.DefaultOptions(),
-		Delay:              timingsim.DefaultDelayModel(),
-		WorkIters:          20,
-		CheckpointInterval: 32,
+		SoC:       soc.DefaultConfig(),
+		Precharac: precharac.DefaultOptions(),
+		Delay:     timingsim.DefaultDelayModel(),
+		WorkIters: 20,
 	}
 }
 
@@ -273,11 +270,10 @@ func (f *Framework) NewEvaluationAttack(prog *soc.Program, attack *fault.Attack)
 	if err != nil {
 		return nil, err
 	}
-	golden, err := engine.RunGolden(f.Opts.CheckpointInterval)
+	golden, err := engine.RunGolden()
 	if err != nil {
 		return nil, err
 	}
-	engine.DensifyAttackWindow()
 	return &Evaluation{
 		Framework: f,
 		Program:   prog,
@@ -370,10 +366,9 @@ func (e *Evaluation) CloneEngines(n int) ([]*montecarlo.Engine, error) {
 		// Share the parent's timed simulator topology and fault-cone
 		// schedule cache instead of recomputing them per clone.
 		eng.Timing = e.Engine.Timing.Fork()
-		if _, err := eng.RunGolden(f.Opts.CheckpointInterval); err != nil {
+		if _, err := eng.RunGolden(); err != nil {
 			return nil, err
 		}
-		eng.DensifyAttackWindow()
 		out = append(out, eng)
 	}
 	return out, nil

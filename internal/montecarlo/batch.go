@@ -4,9 +4,9 @@
 // the injection cycle, one full SoC cycle to apply the gate-level
 // injection, and an RTL resume of the faulty SoC to the marked access's
 // decision. The batched path removes the first two by classifying every
-// single-cycle sample against a cached golden attack window (the
-// fault-free post-evaluation node values at each candidate injection
-// cycle — the injection is a pure function of those values), and
+// single-cycle sample against the golden attack window's post-evaluation
+// node values (recorded once per candidate injection cycle — the
+// injection is a pure function of those values), and
 // amortizes the third by packing up to 64 post-injection register
 // states into the lanes of one forked logicsim.Simulator and stepping
 // them together against the recorded golden bus trace.
@@ -16,7 +16,7 @@
 // outputs match the recorded golden responses the behavioural core,
 // memory, and DMA provably stay on the golden trajectory and the shared
 // replay is exact. A lane whose responding signals diverge gets its own
-// soc.System, copied from the golden checkpoint of the divergence cycle,
+// soc.System, taken from the golden checkpoint of the divergence cycle,
 // and stays in the simulator: each cycle its system consumes the lane's
 // own grant/viol bits, and the port bits it drives differently from the
 // golden trace are patched into its lane. A lane whose state returns to
@@ -38,24 +38,19 @@ import (
 	"repro/internal/timingsim"
 )
 
-// batchState caches the golden attack window and the lane simulator; it
-// is built lazily on the first batched run after RunGolden and reused
-// for the rest of the campaign.
+// batchState caches the injection inputs of the golden attack window and
+// the lane simulator; it is built lazily on the first batched run after
+// RunGolden and reused for the rest of the campaign. The golden register
+// words and behavioural system of every cycle are read from the golden
+// checkpoints: the golden run never flips a lane, so each register word
+// is a uniform broadcast and doubles as the 64-lane reference state.
 type batchState struct {
-	// The recorded window starts at lo = TargetCycle - TRange (clamped
-	// to 0) and ends at the golden FinalCycle. markedResp = TargetCycle +
-	// 1 is the cycle the marked response is consumed: no lane stays on
-	// the golden trajectory past it.
+	// The injection window is [lo, TargetCycle] with lo = TargetCycle -
+	// TRange (clamped to 0). markedResp = TargetCycle + 1 is the cycle
+	// the marked response is consumed: no lane stays on the golden
+	// trajectory past it.
 	lo         int
 	markedResp int
-	// regs[c-lo] holds the golden register words at the beginning of
-	// cycle c. The golden run never flips a lane, so each word is a
-	// uniform broadcast and doubles as the 64-lane reference state.
-	regs [][]uint64
-	// goldenSys[c-lo] is the golden behavioural system at the beginning
-	// of cycle c, its memory kept only by hash (Mem is nil): the
-	// reference a diverged lane's convergence is tested against.
-	goldenSys []soc.System
 	// comb[c-lo] is a bitset over node IDs of the golden post-Eval
 	// values during cycle c (injection cycles only, c <= TargetCycle) —
 	// exactly what a scalar StepInject would hand the inject callback.
@@ -94,47 +89,30 @@ type pendingResume struct {
 	flips []netlist.NodeID
 }
 
-// ensureBatchState records the golden window once: register state and
-// behavioural system per cycle, plus the post-Eval value bitsets the
-// gate-level injection consumes and the latch bound of each injection
-// cycle.
+// ensureBatchState records the injection window once: the post-Eval
+// value bitsets the gate-level injection consumes and the latch bound of
+// each injection cycle.
 func (e *Engine) ensureBatchState() *batchState {
 	if e.batch != nil {
 		return e.batch
 	}
 	g := e.golden
-	lo := g.TargetCycle - e.Attack.TRange
-	if lo < 0 {
-		lo = 0
-	}
+	lo := max(g.TargetCycle-e.Attack.TRange, 0)
 	b := &batchState{lo: lo, markedResp: g.TargetCycle + 1}
-	fin := g.FinalCycle
-	b.regs = make([][]uint64, fin-lo+1)
-	b.goldenSys = make([]soc.System, fin-lo+1)
 	b.comb = make([][]uint64, g.TargetCycle-lo+1)
 	nn := e.SoC.MPU.Netlist.NumNodes()
-	e.restoreTo(lo)
-	for c := lo; ; c++ {
-		b.regs[c-lo] = e.SoC.Sim.RegState()
-		b.goldenSys[c-lo] = e.SoC.System
-		b.goldenSys[c-lo].Mem = nil
-		if c == fin {
-			break
-		}
-		if c <= g.TargetCycle {
-			bitset := make([]uint64, (nn+63)/64)
-			e.SoC.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
-				for i := 0; i < nn; i++ {
-					if values(netlist.NodeID(i)) {
-						bitset[i>>6] |= 1 << uint(i&63)
-					}
+	e.SoC.Restore(g.Checkpoints[lo])
+	for c := lo; c <= g.TargetCycle; c++ {
+		bitset := make([]uint64, (nn+63)/64)
+		e.SoC.StepInject(func(values func(netlist.NodeID) bool) []netlist.NodeID {
+			for i := 0; i < nn; i++ {
+				if values(netlist.NodeID(i)) {
+					bitset[i>>6] |= 1 << uint(i&63)
 				}
-				return nil
-			})
-			b.comb[c-lo] = bitset
-		} else {
-			e.SoC.Step()
-		}
+			}
+			return nil
+		})
+		b.comb[c-lo] = bitset
 	}
 	b.bounds = e.Timing.LatchBounds(b.comb)
 	b.sim = e.SoC.Sim.Fork()
@@ -183,7 +161,7 @@ func (e *Engine) evalSample(rng *rand.Rand, sample fault.Sample, mode Mode) (res
 	case RegisterAttack:
 		flips = e.applyHardening(rng, e.spotIndex().DFFWithin(sample.Center, sample.Radius))
 	}
-	res, needRTL := e.classifySingle(sample, te, flips)
+	res, needRTL := e.classifySingle(sample.T, te, flips)
 	return res, te, needRTL
 }
 
@@ -250,7 +228,7 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 	sim := b.sim
 	mpu := e.SoC.MPU
 	startC := lanes[0].te + 1
-	sim.SetRegState(b.regs[startC-b.lo])
+	sim.SetRegState(g.Checkpoints[startC].MPURegs)
 	// golden: lanes on the golden trajectory; own: diverged lanes
 	// stepping their own system; strayed: own lanes that have driven
 	// other inputs than the golden trace since they diverged.
@@ -276,7 +254,7 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 		// when the cut is off or the golden run has ended.
 		diff := logicsim.AllLanes
 		if useCut && c <= g.FinalCycle {
-			diff = sim.RegDiffMask(b.regs[c-b.lo])
+			diff = sim.RegDiffMask(g.Checkpoints[c].MPURegs)
 			if conv := golden &^ diff; conv != 0 {
 				for m := conv; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
@@ -304,9 +282,8 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 			ent := &trace[c]
 			div := (gw ^ logicsim.Broadcast(ent.RespGrant)) | (vw ^ logicsim.Broadcast(ent.RespViol))
 			if div &= golden; div != 0 {
-				cp := e.goldenCheckpoint(c)
 				for m := div; m != 0; m &= m - 1 {
-					b.laneSys[bits.TrailingZeros64(m)] = cp.System()
+					b.laneSys[bits.TrailingZeros64(m)] = g.Checkpoints[c].System()
 				}
 				golden &^= div
 				own |= div
@@ -321,7 +298,7 @@ func (e *Engine) resumeBatch(lanes []pendingResume, results []RunResult) {
 			switch {
 			case sys.Done() || sys.Marked.Resolved || c >= limit:
 				r.ResumeCycles, r.Success = c-(ln.te+1), sys.AttackSucceeded()
-			case diff>>uint(l)&1 == 0 && sys.SameDigest(&b.goldenSys[c-b.lo]):
+			case diff>>uint(l)&1 == 0 && g.Checkpoints[c].SameDigest(sys):
 				cut = true
 				if strayed>>uint(l)&1 == 0 {
 					r.ResumeCycles, r.Success = c-(ln.te+1), false
@@ -373,25 +350,13 @@ func (b *batchState) recordExit(p *pendingResume, l uint, cut, replayed bool) {
 	*b.exits = append(*b.exits, x)
 }
 
-// goldenCheckpoint returns the golden snapshot of cycle c, preferring the
-// state cache's.
-func (e *Engine) goldenCheckpoint(c int) *soc.Checkpoint {
-	if e.cache != nil {
-		if cp := e.cache.get(c); cp != nil {
-			return cp
-		}
-	}
-	e.restoreTo(c)
-	return e.SoC.Snapshot()
-}
-
 // resumeInjected is the scalar resume a diverged lane stands for: from
 // the state RunOnce reaches after the injection cycle te — golden at
 // te+1 with the flips in lane 0 — it runs the scalar RTL resume. The
 // golden-trajectory part of that resume up to the divergence is
 // replayed too, so ResumeCycles counts from te+1 as in RunOnce.
 func (e *Engine) resumeInjected(te int, flips []netlist.NodeID) (resumed int, success bool) {
-	e.restoreTo(te + 1)
+	e.SoC.Restore(e.golden.Checkpoints[te+1])
 	e.SoC.FlipRegsNow(flips)
 	return e.resumeRTL()
 }

@@ -21,18 +21,6 @@ import (
 	"repro/internal/timingsim"
 )
 
-// Options tunes engine construction.
-type Options struct {
-	// SkipModelCheck disables the static verification pass New runs
-	// over the MPU netlist and placement before building the engine.
-	// The guard only rejects error-severity findings (cycles, dangling
-	// references, multiply-driven registers) — structure the
-	// simulators cannot evaluate soundly — so skipping it never
-	// changes results on a valid design; it only removes the O(nodes)
-	// construction cost and the protection against malformed ones.
-	SkipModelCheck bool
-}
-
 // DefaultLanes is the lane count of one batched resume pass: one
 // uint64 word per net.
 const DefaultLanes = 64
@@ -150,8 +138,10 @@ type RunResult struct {
 // Golden holds the golden-run artifacts: checkpoints, the target cycle,
 // the access log, and the fault-free outcome.
 type Golden struct {
+	// Checkpoints[c] is the golden state at the beginning of cycle c
+	// (0 <= c <= FinalCycle). Consecutive checkpoints share their memory
+	// image until a store changes it.
 	Checkpoints []*soc.Checkpoint
-	Interval    int
 	// TargetCycle is Tt: the cycle the marked access's MPU decision
 	// latches.
 	TargetCycle int
@@ -203,13 +193,6 @@ type Engine struct {
 	// cycle (faulted runs can run longer, e.g. skipped traps).
 	ResumeMargin int
 
-	// StateCacheSize bounds the injection-window state cache: an LRU
-	// of exact-cycle snapshots keyed by the warm-up target cycle, so
-	// re-stepping from the nearest golden checkpoint is paid once per
-	// distinct cycle instead of once per sample (every sample's
-	// injection cycle falls in the same small TRange window). Set 0 to
-	// disable; New sets DefaultStateCacheSize.
-	StateCacheSize int
 	// DisableConvergenceCut turns off the golden-hash early exit of
 	// RTL resumes: with the cut enabled (default), a resume whose
 	// state digest matches the golden run's at the same cycle stops
@@ -219,7 +202,6 @@ type Engine struct {
 
 	golden  *Golden
 	memType map[netlist.NodeID]bool
-	cache   *stateCache
 	batch   *batchState
 
 	// Per-run scratch (Engine is single-goroutine).
@@ -240,77 +222,19 @@ func (e *Engine) spotIndex() *placement.SpotIndex {
 	return e.spots
 }
 
-// DefaultStateCacheSize is the default bound of the injection-window
-// state cache; it comfortably covers the TRange windows used by the
-// paper's experiments.
-const DefaultStateCacheSize = 128
-
-// stateCache is a small LRU of exact-cycle SoC snapshots.
-type stateCache struct {
-	limit int
-	tick  int64
-	at    map[int]*cacheEntry
-}
-
-type cacheEntry struct {
-	cp   *soc.Checkpoint
-	used int64
-}
-
-func newStateCache(limit int) *stateCache {
-	return &stateCache{limit: limit, at: make(map[int]*cacheEntry, limit)}
-}
-
-func (c *stateCache) get(cycle int) *soc.Checkpoint {
-	e := c.at[cycle]
-	if e == nil {
-		return nil
-	}
-	c.tick++
-	e.used = c.tick
-	return e.cp
-}
-
-func (c *stateCache) put(cycle int, cp *soc.Checkpoint) {
-	if e := c.at[cycle]; e != nil {
-		c.tick++
-		e.cp, e.used = cp, c.tick
-		return
-	}
-	for len(c.at) >= c.limit {
-		// Evict the least recently used entry (limit is small enough
-		// that a scan beats bookkeeping on every get).
-		lruCycle, lruUsed := -1, int64(0)
-		for cyc, e := range c.at {
-			if lruCycle < 0 || e.used < lruUsed {
-				lruCycle, lruUsed = cyc, e.used
-			}
-		}
-		delete(c.at, lruCycle)
-	}
-	c.tick++
-	c.at[cycle] = &cacheEntry{cp: cp, used: c.tick}
-}
-
 // New assembles an engine. The SoC must be loaded with the attack
 // benchmark (not the synthetic pre-characterization program). It runs
-// the static verification layer over the design first; use
-// NewWithOptions to skip it.
+// the static verification layer over the design first and rejects
+// error-severity findings (cycles, dangling references, multiply-driven
+// registers): structure the simulators cannot evaluate soundly.
 func New(s *soc.SoC, attack *fault.Attack, place *placement.Placement, dm timingsim.DelayModel, char *precharac.Characterization, eval *analytical.Evaluator) (*Engine, error) {
-	return NewWithOptions(s, attack, place, dm, char, eval, Options{})
-}
-
-// NewWithOptions is New with explicit engine options.
-func NewWithOptions(s *soc.SoC, attack *fault.Attack, place *placement.Placement, dm timingsim.DelayModel, char *precharac.Characterization, eval *analytical.Evaluator, opts Options) (*Engine, error) {
-	if !opts.SkipModelCheck {
-		report := modelcheck.CheckModel(modelcheck.Model{
-			Netlist:    s.MPU.Netlist,
-			Place:      place,
-			Responding: s.MPU.RespondingSignals,
-		})
-		if err := report.Err(modelcheck.Error); err != nil {
-			return nil, fmt.Errorf("montecarlo: design rejected by static verification: %w", err)
-		}
+	report := modelcheck.CheckModel(modelcheck.Model{
+		Netlist:    s.MPU.Netlist,
+		Place:      place,
+		Responding: s.MPU.RespondingSignals,
+	})
+	if err := report.Err(modelcheck.Error); err != nil {
+		return nil, fmt.Errorf("montecarlo: design rejected by static verification: %w", err)
 	}
 	tsim, err := timingsim.New(s.MPU.Netlist, dm)
 	if err != nil {
@@ -319,8 +243,7 @@ func NewWithOptions(s *soc.SoC, attack *fault.Attack, place *placement.Placement
 	e := &Engine{
 		SoC: s, Attack: attack, Place: place, Timing: tsim,
 		Char: char, Analytical: eval,
-		ResumeMargin:   200,
-		StateCacheSize: DefaultStateCacheSize,
+		ResumeMargin: 200,
 	}
 	if char != nil {
 		e.memType = make(map[netlist.NodeID]bool, len(char.Regs))
@@ -335,31 +258,26 @@ func NewWithOptions(s *soc.SoC, attack *fault.Attack, place *placement.Placement
 func (e *Engine) Golden() *Golden { return e.golden }
 
 // RunGolden performs the fault-free reference run, dumping a checkpoint
-// every interval cycles, and verifies the security mechanism works: the
-// marked access must trap.
-func (e *Engine) RunGolden(interval int) (*Golden, error) {
-	if interval < 1 {
-		return nil, fmt.Errorf("montecarlo: checkpoint interval %d", interval)
-	}
+// and a state digest every cycle, and verifies the security mechanism
+// works: the marked access must trap.
+func (e *Engine) RunGolden() (*Golden, error) {
 	s := e.SoC
 	s.Reset()
-	e.cache = nil // exact-cycle snapshots belong to the previous golden run
-	e.batch = nil // ditto for the lane-batch window
+	e.batch = nil // the lane-batch window belongs to the previous golden run
 	s.LogAccesses = true
 	s.Accesses = s.Accesses[:0]
 	s.LogBusTrace = true
 	s.BusTrace = s.BusTrace[:0]
-	g := &Golden{Interval: interval, SetupEnd: -1}
-	g.Checkpoints = append(g.Checkpoints, s.Snapshot())
-	g.StateHashes = append(g.StateHashes, s.StateHash())
-	for !s.Done() && s.Cycle() < s.Cfg.MaxCycles {
-		s.Step()
+	g := &Golden{SetupEnd: -1}
+	for {
+		g.Checkpoints = append(g.Checkpoints, s.Snapshot())
 		g.StateHashes = append(g.StateHashes, s.StateHash())
+		if s.Done() || s.Cycle() >= s.Cfg.MaxCycles {
+			break
+		}
+		s.Step()
 		if g.SetupEnd < 0 && !s.Priv() {
 			g.SetupEnd = s.Cycle()
-		}
-		if s.Cycle()%interval == 0 {
-			g.Checkpoints = append(g.Checkpoints, s.Snapshot())
 		}
 	}
 	s.LogAccesses = false
@@ -389,71 +307,6 @@ func (e *Engine) RunGolden(interval int) (*Golden, error) {
 	}
 	e.golden = g
 	return g, nil
-}
-
-// restoreTo rewinds the SoC to the exact cycle: from the state cache
-// when a snapshot of that cycle exists, otherwise from the latest
-// golden checkpoint at or before it, stepping forward (and caching the
-// result for the next sample aimed at the same cycle).
-func (e *Engine) restoreTo(cycle int) {
-	if e.StateCacheSize > 0 {
-		if e.cache == nil {
-			e.cache = newStateCache(e.StateCacheSize)
-		} else {
-			e.cache.limit = e.StateCacheSize
-		}
-		if cp := e.cache.get(cycle); cp != nil {
-			e.SoC.Restore(cp)
-			return
-		}
-	}
-	g := e.golden
-	idx := cycle / g.Interval
-	if idx >= len(g.Checkpoints) {
-		idx = len(g.Checkpoints) - 1
-	}
-	for idx > 0 && g.Checkpoints[idx].Cycle > cycle {
-		idx--
-	}
-	e.SoC.Restore(g.Checkpoints[idx])
-	for e.SoC.Cycle() < cycle {
-		e.SoC.Step()
-	}
-	if e.StateCacheSize > 0 {
-		e.cache.put(cycle, e.SoC.Snapshot())
-	}
-}
-
-// DensifyAttackWindow pre-populates the state cache with one snapshot
-// per cycle of the attack's injection window [TargetCycle-TRange,
-// TargetCycle+1], growing StateCacheSize if the window does not fit.
-// After it, every sample's warm-up is a single Restore. Call after
-// RunGolden; a no-op when the cache is disabled.
-func (e *Engine) DensifyAttackWindow() {
-	g := e.golden
-	if g == nil || e.StateCacheSize <= 0 {
-		return
-	}
-	lo := g.TargetCycle - e.Attack.TRange
-	if lo < 0 {
-		lo = 0
-	}
-	// One extra slot below the window: the glitch model warms up to
-	// te-1 to observe the pre-glitch cycle.
-	if lo > 0 {
-		lo--
-	}
-	// One extra slot above: the batched resume's scalar fallback
-	// restores te+1, up to TargetCycle+1.
-	hi := g.TargetCycle + 1
-	if need := hi - lo + 1; e.StateCacheSize < need+4 {
-		e.StateCacheSize = need + 4
-	}
-	e.restoreTo(lo)
-	for c := lo + 1; c <= hi; c++ {
-		e.SoC.Step()
-		e.cache.put(c, e.SoC.Snapshot())
-	}
 }
 
 // accessWindow returns the golden accesses issued in [from, to). The
@@ -499,7 +352,7 @@ func (e *Engine) resumeRTL() (resumed int, success bool) {
 func (e *Engine) RunOnce(rng *rand.Rand, sample fault.Sample, mode Mode) RunResult {
 	g := e.golden
 	te := g.TargetCycle - sample.T
-	e.restoreTo(te)
+	e.SoC.Restore(g.Checkpoints[te])
 
 	// Injection cycle(s): gate-level (or direct register) fault. A
 	// multi-cycle technique disturbs consecutive cycles with the same
@@ -568,7 +421,7 @@ func (e *Engine) RunOnce(rng *rand.Rand, sample fault.Sample, mode Mode) RunResu
 		return res
 	}
 
-	res, needRTL := e.classifySingle(sample, te, flipped)
+	res, needRTL := e.classifySingle(sample.T, te, flipped)
 	if needRTL {
 		// Full RTL resume: run until the marked access resolves (or
 		// the run ends some other way — e.g. a spurious trap halts the
@@ -580,12 +433,13 @@ func (e *Engine) RunOnce(rng *rand.Rand, sample fault.Sample, mode Mode) RunResu
 
 // classifySingle decides a single-cycle injection's outcome from the
 // flipped-register set alone, without touching the SoC state: masked,
-// analytical memory-type evaluation, or lifetime pruning. When none of
-// the shortcut paths apply it returns needRTL=true with Path set to
-// PathRTL, and the caller owes the run an RTL resume (scalar resumeRTL,
-// or a lane of a batched resume). flipped is the caller's scratch; the
-// returned result holds its own copy.
-func (e *Engine) classifySingle(sample fault.Sample, te int, flipped []netlist.NodeID) (res RunResult, needRTL bool) {
+// analytical memory-type evaluation, or lifetime pruning. t is the
+// sample's distance to the target cycle and te its injection cycle.
+// When none of the shortcut paths apply it returns needRTL=true with
+// Path set to PathRTL, and the caller owes the run an RTL resume (scalar
+// resumeRTL, or a lane of a batched resume). flipped is the caller's
+// scratch; the returned result holds its own copy.
+func (e *Engine) classifySingle(t, te int, flipped []netlist.NodeID) (res RunResult, needRTL bool) {
 	g := e.golden
 	if len(flipped) > 0 {
 		// Copy out of the scratch buffer: the result outlives the run
@@ -603,7 +457,7 @@ func (e *Engine) classifySingle(sample fault.Sample, te int, flipped []netlist.N
 		res.Class = Mixed
 	}
 
-	if res.Class == MemoryOnly && sample.T == 0 {
+	if res.Class == MemoryOnly && t == 0 {
 		// The flips latch at the end of the target cycle itself —
 		// after the decision. Memory-type state cannot influence it
 		// anymore.
@@ -620,14 +474,14 @@ func (e *Engine) classifySingle(sample fault.Sample, te int, flipped []netlist.N
 	// Lifetime pruning for computation-type-only errors: if no flipped
 	// register's error can survive until the target cycle, the attack
 	// fails without simulation.
-	if res.Class == Mixed && e.Char != nil && sample.T > 0 {
+	if res.Class == Mixed && e.Char != nil && t > 0 {
 		maxLife := 0.0
 		for _, r := range flipped {
 			if l := e.Char.Lifetime(r); l > maxLife {
 				maxLife = l
 			}
 		}
-		if maxLife < float64(sample.T) {
+		if maxLife < float64(t) {
 			res.Path = PathPruned
 			return res, false
 		}

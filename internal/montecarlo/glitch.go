@@ -12,18 +12,17 @@ import (
 // RunGlitchOnce executes one clock-glitch attack run: the capture edge
 // of the injection cycle Te = Tt − sample.T arrives sample.Depth early,
 // and every register whose data path had not settled latches the stale
-// previous-cycle value. Downstream classification reuses the standard
-// cross-level pipeline (masked / memory-type / RTL resume).
+// previous-cycle value. Downstream classification is RunOnce's
+// single-cycle cascade (masked / analytical / pruned / RTL resume).
 func (e *Engine) RunGlitchOnce(rng *rand.Rand, sample fault.GlitchSample) RunResult {
 	g := e.golden
 	te := g.TargetCycle - sample.T
-	// Warm up to the cycle BEFORE the glitched one so its settled
-	// values are observable (the glitch capture compares consecutive
-	// cycles).
+	// Restore the cycle BEFORE the glitched one so its settled values
+	// are observable (the glitch capture compares consecutive cycles).
 	if te < 1 {
 		te = 1
 	}
-	e.restoreTo(te - 1)
+	e.SoC.Restore(g.Checkpoints[te-1])
 
 	nl := e.SoC.MPU.Netlist
 	prev := make([]bool, nl.NumNodes())
@@ -44,45 +43,12 @@ func (e *Engine) RunGlitchOnce(rng *rand.Rand, sample fault.GlitchSample) RunRes
 		return flipped
 	})
 
-	res := RunResult{Flipped: flipped}
-	switch {
-	case len(flipped) == 0:
-		res.Class = Masked
-		res.Path = PathMasked
-		return res
-	case e.allMemoryType(flipped):
-		res.Class = MemoryOnly
-	default:
-		res.Class = Mixed
-	}
-
 	// Glitch flips depend on value transitions, not pulse windows;
-	// the analytical and pruning shortcuts apply unchanged.
-	if res.Class == MemoryOnly && sample.T == 0 {
-		res.Path = PathPruned
-		return res
+	// the single-cycle classification applies unchanged.
+	res, needRTL := e.classifySingle(sample.T, te, flipped)
+	if needRTL {
+		res.ResumeCycles, res.Success = e.resumeRTL()
 	}
-	if res.Class == MemoryOnly && e.Analytical != nil && e.Analytical.Covers(flipped) && te > g.SetupEnd {
-		res.Path = PathAnalytical
-		window := g.accessWindow(te, g.MarkedIssue)
-		res.Success = e.Analytical.Outcome(g.Policy, e.SoC.Prog, window, flipped)
-		return res
-	}
-	if res.Class == Mixed && e.Char != nil && sample.T > 0 {
-		maxLife := 0.0
-		for _, r := range flipped {
-			if l := e.Char.Lifetime(r); l > maxLife {
-				maxLife = l
-			}
-		}
-		if maxLife < float64(sample.T) {
-			res.Path = PathPruned
-			return res
-		}
-	}
-
-	res.Path = PathRTL
-	res.ResumeCycles, res.Success = e.resumeRTL()
 	return res
 }
 

@@ -177,3 +177,36 @@ func TestMPUMeetsTiming(t *testing.T) {
 	}
 	t.Logf("settle %.0f ps, period %.0f ps (slack %.0f ps)", settle, period, period-settle)
 }
+
+// TestGlitchCampaignPinned pins fixed-seed glitch campaigns: the glitch
+// run shares the single-cycle classification cascade with RunOnce, and
+// its outcome counts must not move under refactors of either. The bundled
+// MPU never yields a successful glitch here (SSF 0), so the path and
+// class counts and the RTL cycles carry the check.
+func TestGlitchCampaignPinned(t *testing.T) {
+	ev := evaluation(t)
+	cases := []struct {
+		tRange  int
+		tech    fault.ClockGlitch
+		paths   [4]int
+		classes [3]int
+		rtl     int
+	}{
+		{50, fault.DefaultClockGlitch(), [4]int{3951, 5, 2, 42}, [3]int{3951, 7, 42}, 42},
+		{20, fault.ClockGlitch{Depth: 550, DepthJitter: 50, ClockPeriod: 600}, [4]int{512, 2395, 626, 467}, [3]int{512, 2395, 1093}, 3262},
+	}
+	for _, tc := range cases {
+		attack, err := fault.NewGlitchAttack("glitch", tc.tRange, tc.tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ev.Engine.RunGlitchCampaign(context.Background(), attack, montecarlo.CampaignOptions{Samples: 4000, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.SSF() != 0 || c.Successes != 0 || c.PathCounts != tc.paths || c.ClassCounts != tc.classes || c.RTLCycles != tc.rtl {
+			t.Errorf("TRange %d depth %v: ssf %v successes %d paths %v classes %v rtl cycles %d; want 0 0 %v %v %d",
+				tc.tRange, tc.tech.Depth, c.SSF(), c.Successes, c.PathCounts, c.ClassCounts, c.RTLCycles, tc.paths, tc.classes, tc.rtl)
+		}
+	}
+}

@@ -56,12 +56,19 @@ func TestGoldenRunArtifacts(t *testing.T) {
 	if g.MarkedIssue != g.TargetCycle-1 {
 		t.Errorf("marked issue %d, target %d", g.MarkedIssue, g.TargetCycle)
 	}
-	if len(g.Checkpoints) < 2 {
-		t.Error("too few checkpoints")
+	// One checkpoint per golden cycle, each restoring the golden state
+	// of its cycle.
+	if len(g.Checkpoints) != g.FinalCycle+1 || len(g.StateHashes) != g.FinalCycle+1 {
+		t.Fatalf("%d checkpoints, %d state hashes for final cycle %d", len(g.Checkpoints), len(g.StateHashes), g.FinalCycle)
 	}
-	for i, cp := range g.Checkpoints {
-		if cp.Cycle != i*g.Interval {
-			t.Fatalf("checkpoint %d at cycle %d, want %d", i, cp.Cycle, i*g.Interval)
+	s := ev.Engine.SoC
+	for c, cp := range g.Checkpoints {
+		if cp.Cycle != c {
+			t.Fatalf("checkpoint %d at cycle %d", c, cp.Cycle)
+		}
+		s.Restore(cp)
+		if s.Cycle() != c || s.StateHash() != g.StateHashes[c] {
+			t.Fatalf("checkpoint %d restores cycle %d with a state other than the golden one", c, s.Cycle())
 		}
 	}
 	if len(g.Accesses) == 0 {
@@ -90,15 +97,11 @@ func TestCampaignBeforeGoldenFails(t *testing.T) {
 	if _, err := eng.RunCampaign(context.Background(), &fakeSampler{attack}, montecarlo.CampaignOptions{Samples: 1}); err == nil {
 		t.Error("campaign before golden run accepted")
 	}
-	if _, err := eng.RunGolden(0); err == nil {
-		t.Error("zero checkpoint interval accepted")
-	}
 }
 
 // TestModelCheckGuard pins the construction-time static verification:
-// a design with an error-severity defect is rejected by New, the
-// SkipModelCheck escape hatch admits it, and precharac applies the same
-// gate.
+// a design with an error-severity defect is rejected by New, and
+// precharac applies the same gate.
 func TestModelCheckGuard(t *testing.T) {
 	fw := framework(t)
 	prog, _ := fw.BenchmarkProgram(core.BenchmarkIllegalWrite)
@@ -125,10 +128,6 @@ func TestModelCheckGuard(t *testing.T) {
 
 	if _, err := montecarlo.New(s, attack, place, fw.Opts.Delay, nil, nil); err == nil {
 		t.Error("New accepted a design with an error-severity finding")
-	}
-	if _, err := montecarlo.NewWithOptions(s, attack, place, fw.Opts.Delay, nil, nil,
-		montecarlo.Options{SkipModelCheck: true}); err != nil {
-		t.Errorf("SkipModelCheck still rejected: %v", err)
 	}
 	pcOpts := fw.Opts.Precharac
 	if _, err := precharac.Characterize(s, pcOpts); err == nil {
@@ -221,7 +220,7 @@ func TestAnalyticalMatchesRTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rtlOnly.RunGolden(fw.Opts.CheckpointInterval); err != nil {
+	if _, err := rtlOnly.RunGolden(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,7 +260,7 @@ func TestPrunedRunsWouldFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rtlOnly.RunGolden(fw.Opts.CheckpointInterval); err != nil {
+	if _, err := rtlOnly.RunGolden(); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))

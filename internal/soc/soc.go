@@ -106,7 +106,9 @@ type System struct {
 }
 
 // SoC co-simulates the behavioural System with the gate-level MPU. Its
-// memory image is always its own. It is not safe for concurrent use.
+// memory image is shared copy-on-write with the checkpoints it took or
+// was restored from: the first changing store gives it a private copy.
+// It is not safe for concurrent use.
 type SoC struct {
 	System
 	MPU *MPU
@@ -179,18 +181,18 @@ func WithMPU(cfg Config, prog *Program, mpu *MPU) (*SoC, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &SoC{System: System{Cfg: cfg, Prog: prog, Mem: make([]uint16, cfg.MemWords)}, MPU: mpu, Sim: sim}
+	s := &SoC{System: System{Cfg: cfg, Prog: prog}, MPU: mpu, Sim: sim}
 	s.Reset()
 	return s, nil
 }
 
 // Reset restores power-on state: zeroed memory and registers,
-// privileged core at PC 0.
+// privileged core at PC 0. The zeroed image is a fresh one, so
+// checkpoints sharing the previous image keep it.
 func (s *SoC) Reset() {
 	s.Sim.Reset()
-	for i := range s.Mem {
-		s.Mem[i] = 0
-	}
+	s.Mem = make([]uint16, s.Cfg.MemWords)
+	s.memShared = false
 	s.cpu = cpuState{Priv: true}
 	s.pending = busOp{}
 	s.lastReq = busOp{}
@@ -579,19 +581,22 @@ func (s *System) AttackSucceeded() bool {
 }
 
 // Checkpoint is a full architectural + netlist state snapshot; the
-// golden run dumps these so fault-attack runs can restart near the
+// golden run dumps one per cycle so fault-attack runs restart at the
 // injection cycle instead of from reset. A checkpoint is immutable: its
-// memory image is never written after Snapshot.
+// memory image is never written after Snapshot. Snapshot and Restore
+// share that image copy-on-write with the SoC, so consecutive
+// checkpoints between two stores hold one image.
 type Checkpoint struct {
 	Cycle   int
 	sys     System
 	MPURegs []uint64
 }
 
-// Snapshot captures the full state.
+// Snapshot captures the full state. The checkpoint takes the SoC's
+// memory image; the SoC copies it before its next changing store.
 func (s *SoC) Snapshot() *Checkpoint {
 	cp := &Checkpoint{Cycle: s.cycle, sys: s.System, MPURegs: s.Sim.RegState()}
-	cp.sys.Mem = append([]uint16(nil), s.Mem...)
+	s.memShared = true
 	return cp
 }
 
@@ -604,12 +609,15 @@ func (cp *Checkpoint) System() System {
 	return sys
 }
 
-// Restore rewinds the SoC to a snapshot.
+// SameDigest reports whether sys agrees with the checkpoint's system on
+// every field StateHash digests (see System.SameDigest).
+func (cp *Checkpoint) SameDigest(sys *System) bool { return sys.SameDigest(&cp.sys) }
+
+// Restore rewinds the SoC to a snapshot. The SoC adopts the
+// checkpoint's memory image copy-on-write.
 func (s *SoC) Restore(cp *Checkpoint) {
-	mem := s.Mem
 	s.System = cp.sys
-	s.Mem = mem
-	copy(s.Mem, cp.sys.Mem)
+	s.memShared = true
 	s.Sim.SetRegState(cp.MPURegs)
 }
 

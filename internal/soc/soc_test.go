@@ -526,10 +526,13 @@ func TestSystemReplaysGolden(t *testing.T) {
 	}
 }
 
-// TestSystemCopyOnWrite: a System copied from a checkpoint shares its
-// memory image until its first changing store, which copies the image
-// and never writes the checkpoint's; its memory hash follows the scalar
-// SoC it replays, here a faulty run whose marked store commits.
+// TestSystemCopyOnWrite: a checkpoint's memory image is shared
+// copy-on-write with the SoC that took it, every SoC restored from it and
+// every System copied out of it. Neither a Reset nor a committing store
+// of any of them writes the checkpoint's image, and two SoCs restored
+// from one checkpoint do not see each other's stores. A copied System's
+// memory hash follows the scalar SoC it replays, here a faulty run whose
+// marked store commits.
 func TestSystemCopyOnWrite(t *testing.T) {
 	s := defaultWrite(t)
 	for !s.Done() && s.Marked.IssueCycle == 0 {
@@ -537,6 +540,11 @@ func TestSystemCopyOnWrite(t *testing.T) {
 	}
 	cp := s.Snapshot()
 	image := slices.Clone(cp.sys.Mem)
+	s.Reset()
+	if !slices.Equal(cp.sys.Mem, image) {
+		t.Fatal("Reset zeroed the checkpoint's memory")
+	}
+	s.Restore(cp)
 	s.FlipRegsNow([]netlist.NodeID{s.MPU.Groups["cfg_perm1"][1]}) // user-write bit
 	s.LogBusTrace = true
 	var hashes []uint64
@@ -568,6 +576,17 @@ func TestSystemCopyOnWrite(t *testing.T) {
 	}
 	if &other.Mem[0] != &cp.sys.Mem[0] {
 		t.Error("a system that never stored does not share the checkpoint's image")
+	}
+
+	golden := defaultWrite(t)
+	golden.Restore(cp)
+	golden.Run(golden.Cfg.MaxCycles)
+	if golden.AttackSucceeded() || golden.Mem[SecretAddr] != SecretValue || s.Mem[SecretAddr] != AttackValue {
+		t.Error("two SoCs restored from one checkpoint see each other's stores")
+	}
+	s.Reset()
+	if !slices.Equal(cp.sys.Mem, image) {
+		t.Error("the SoCs' stores or Reset mutated the checkpoint's memory")
 	}
 }
 
